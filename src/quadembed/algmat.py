@@ -15,10 +15,7 @@ from .scalars import (
     ScalarMatrix,
     ShapeError,
     ZZ,
-    FractionSpan,
     SpanSolver,
-    solve_in_ring,
-    _as_fraction,
 )
 
 
@@ -308,12 +305,7 @@ def span_coords(basis, m: AlgMatrix) -> list[Scalar] | None:
     for b in basis:
         if b.dim != m.dim or b.algebra != m.algebra:
             raise ShapeError("basis and target must match in shape and algebra")
-    ring = m.algebra.ring
-    columns = [b.flatten() for b in basis]
-    target = m.flatten()
-    rows = [[col[i] for col in columns] for i in range(len(target))]
-    system = ScalarMatrix.from_rows(rows)
-    return solve_in_ring(system, target)
+    return SpanSolver([b.flatten() for b in basis], m.algebra.ring).solve(m.flatten())
 
 
 def generated_algebra_rank(generators) -> int:
@@ -336,15 +328,11 @@ def generated_algebra_rank(generators) -> int:
         if g.dim != first.dim or g.algebra != alg:
             raise ShapeError("generators must match in shape and algebra")
 
-    span = FractionSpan()
-
-    def vec(m: AlgMatrix):
-        return [_as_fraction(s) for s in m.flatten()]
-
+    # the span is taken over Q, so the rank is the one over the fraction field
+    span = SpanSolver([AlgMatrix.identity(alg, first.dim).flatten()], QQ)
     frontier = []
-    span.add(vec(AlgMatrix.identity(alg, first.dim)))
     for g in generators:
-        if span.add(vec(g)):
+        if span.add(g.flatten()):
             frontier.append(g)
     length = 1
     while frontier and length < 2 * first.dim:
@@ -352,7 +340,7 @@ def generated_algebra_rank(generators) -> int:
         for x in frontier:
             for g in generators:
                 p = x * g
-                if span.add(vec(p)):
+                if span.add(p.flatten()):
                     fresh.append(p)
         frontier = fresh
         length += 1
@@ -384,7 +372,3 @@ def lift_scalar_matrix(m: ScalarMatrix, algebra) -> AlgMatrix:
         algebra, [[algebra.from_scalar(e) for e in m.row(i)] for i in range(m.rows)]
     )
 
-
-def span_solver(basis, ring: Ring) -> SpanSolver:
-    """Precomputed solver for repeated membership tests against `basis`."""
-    return SpanSolver([b.flatten() for b in basis], ring)

@@ -57,11 +57,16 @@ def _parse_element(text: str, space: QuadraticSpace) -> CliffordElement:
             int(t["mask"]): parse_scalar(t["coeff"], space.ring)
             for t in data["terms"]
         }
-        return CliffordElement(space, terms)
-    terms = {}
-    for chunk in text.split(","):
-        mask, coeff = chunk.split(":")
-        terms[int(mask)] = parse_scalar(coeff, space.ring)
+    else:
+        terms = {}
+        for chunk in text.split(","):
+            mask, coeff = chunk.split(":")
+            terms[int(mask)] = parse_scalar(coeff, space.ring)
+    # checked here rather than in CliffordElement, whose constructor is on
+    # the hot path of every product
+    for mask in terms:
+        if not 0 <= mask < 1 << space.rank:
+            raise ValueError(f"mask {mask} is outside 0..{(1 << space.rank) - 1}")
     return CliffordElement(space, terms)
 
 
@@ -133,6 +138,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     ring = _parse_ring(args.ring)
     report = run_suites(args.suite, args.seed, args.samples, ring)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

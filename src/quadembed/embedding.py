@@ -10,7 +10,6 @@ triple product, and lifts entry involutions to the doubled algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .algmat import (
@@ -114,10 +113,18 @@ class Embedding:
         self.alpha = alpha
         self.involution = involution
         self.a_star = a_star
+        self._v_span = None
 
     @property
     def ring(self):
         return self.space.ring
+
+    @property
+    def v_span(self) -> SpanSolver:
+        """The span of the basis images, built on first use."""
+        if self._v_span is None:
+            self._v_span = SpanSolver([m.flatten() for m in self.rho], self.ring)
+        return self._v_span
 
     def identity_matrix(self) -> AlgMatrix:
         return AlgMatrix.identity(self.algebra, self.dim)
@@ -223,19 +230,9 @@ def validate_embedding(e: Embedding) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
-@lru_cache(maxsize=None)
-def _v_solver(e: Embedding) -> SpanSolver | None:
-    if e.ring in (ZZ, QQ):
-        return SpanSolver([m.flatten() for m in e.rho], e.ring)
-    return None
-
-
 def v_coordinates(e: Embedding, m: AlgMatrix) -> list[Scalar] | None:
     """Coordinates of a matrix inside the embedded copy of V, or None."""
-    solver = _v_solver(e)
-    if solver is not None:
-        return solver.solve(m.flatten())
-    return span_coords(list(e.rho), m)
+    return e.v_span.solve(m.flatten())
 
 
 class PhiMap:

@@ -240,17 +240,16 @@ class Scalar:
         return Scalar(self.ring.neg(self.value), self.ring)
 
     def __eq__(self, other):
+        # a plain number is equal only to its own value, so a residue mod m
+        # equals only its canonical representative and the hash can agree
         if isinstance(other, Scalar):
             return self.ring is other.ring and self.value == other.value
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            try:
-                return self.value == self.ring.normalize(other)
-            except RingError:
-                return False
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.value))
+        return hash(self.value)
 
     @property
     def is_zero(self) -> bool:
@@ -296,10 +295,10 @@ def parse_scalar(text: str, ring: Ring) -> Scalar:
     return ring(int(text))
 
 
-def _as_fraction(s: Scalar) -> Fraction:
-    if isinstance(s.ring, ModularRing):
-        raise RingError("no fraction field for a modular ring")
-    return Fraction(s.value)
+def _integer_row(scalars) -> tuple[list[int], int]:
+    """(den * values, den) for the least den that clears every denominator."""
+    den = math.lcm(*(s.value.denominator for s in scalars))
+    return [s.value.numerator * (den // s.value.denominator) for s in scalars], den
 
 
 class ScalarMatrix:
@@ -429,56 +428,37 @@ class ScalarMatrix:
         return self.rows == self.cols
 
     def determinant(self) -> Scalar:
+        """Fraction-free; over Z/m the integer determinant of the residues, mod m."""
         if not self.is_square():
             raise ShapeError("determinant needs a square matrix")
-        if isinstance(self.ring, ModularRing):
-            if self.rows > 8:
-                raise RingError("modular determinant limited to dimension 8")
-            return Scalar(_det_expansion_mod(self.row_lists(), self.ring), self.ring)
-        scale = Fraction(1)
-        int_rows = []
-        for i in range(self.rows):
-            fr = [_as_fraction(e) for e in self.row(i)]
-            den = math.lcm(*(f.denominator for f in fr)) if fr else 1
-            scale /= den
-            int_rows.append([int(f * den) for f in fr])
-        det = Fraction(_det_bareiss(int_rows)) * scale
-        return self.ring(det)
+        rows, dens = zip(*(_integer_row(self.row(i)) for i in range(self.rows)))
+        pivots = []
+        d, sign = _bareiss(list(rows), range(self.cols), pivots, jordan=False)
+        if len(pivots) < self.rows:
+            return self.ring.zero
+        return self.ring(Fraction(sign * d, math.prod(dens)))
 
     def inverse(self) -> "ScalarMatrix":
+        """Gauss-Jordan on [D A | D], D the row denominators, which leaves
+        [d I | d A^-1] with d = +-det A; over Z/m the right block is the
+        adjugate up to sign, so d must be a unit mod m."""
         if not self.is_square():
             raise ShapeError("inverse needs a square matrix")
-        if isinstance(self.ring, ModularRing):
-            return self._inverse_mod()
         n = self.rows
-        aug = [[_as_fraction(self.entry(i, j)) for j in range(n)]
-               + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        pivots = _row_reduce(aug, n)
-        if len(pivots) != n:
+        rows = []
+        for i in range(n):
+            row, den = _integer_row(self.row(i))
+            rows.append(row + [den if j == i else 0 for j in range(n)])
+        pivots = []
+        d, _ = _bareiss(rows, range(n), pivots)
+        if len(pivots) < n:
             raise RingError("matrix is not invertible")
-        inv_rows = [r[n:] for r in aug]
+        ring = self.ring
+        dinv = Fraction(1, d) if ring in (ZZ, QQ) else ring.inverse_value(d % ring.modulus)
         try:
-            return ScalarMatrix.from_rows([[self.ring(v) for v in row] for row in inv_rows])
+            return ScalarMatrix.of_ints(ring, [[x * dinv for x in row[n:]] for row in rows])
         except RingError:
             raise RingError("determinant is not a unit, no inverse in the ring") from None
-
-    def _inverse_mod(self):
-        ring = self.ring
-        n = self.rows
-        rows = self.row_lists()
-        det = _det_expansion_mod(rows, ring)
-        dinv = ring.inverse_value(det)
-        out = []
-        for i in range(n):
-            line = []
-            for j in range(n):
-                minor = [[rows[r][c].value for c in range(n) if c != i]
-                         for r in range(n) if r != j]
-                cof = _det_expansion_mod_ints(minor, ring.modulus) if minor else 1
-                sign = -1 if (i + j) % 2 else 1
-                line.append(ring(sign * cof * dinv))
-            out.append(line)
-        return ScalarMatrix.from_rows(out)
 
     def __eq__(self, other):
         if not isinstance(other, ScalarMatrix):
@@ -504,307 +484,217 @@ class ScalarMatrix:
         return "\n".join(" ".join(str(e).rjust(4) for e in self.row(i)) for i in range(self.rows))
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination)."""
+def _bareiss(rows, cols, pivots, prev=1, jordan=True):
+    """Fraction-free elimination (Bareiss 1968) of integer rows, in place.
+
+    Pivots on `cols` in order, appending each pivot column to `pivots`;
+    pivot t moves to row t.  Every entry stays a minor of the input, so each
+    division is exact.  With `jordan` the pivot columns are cleared above
+    the pivot too, and every pivot row holds the last pivot d.  Passing the
+    earlier pivots and d as `prev` resumes an elimination.  Returns d and
+    the sign of the row permutation."""
     n = len(rows)
     sign = 1
-    prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
-        if p is None:
-            return 0
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            sign = -sign
-        pc = rows[c][c]
-        for i in range(c + 1, n):
-            ric = rows[i][c]
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[i][j] * pc - ric * rows[c][j]) // prev
-            rows[i][c] = 0
-        prev = pc
-    return sign * rows[n - 1][n - 1]
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over the fraction field, by fraction-free forward elimination."""
-    if not rows:
-        return 0
-    n, m = len(rows), len(rows[0])
-    rank = 0
-    prev = 1
-    for c in range(m):
-        p = next((i for i in range(rank, n) if rows[i][c]), None)
+    for c in cols:
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
         if p is None:
             continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        pc = rows[rank][c]
-        for i in range(rank + 1, n):
-            ric = rows[i][c]
-            for j in range(c + 1, m):
-                rows[i][j] = (rows[i][j] * pc - ric * rows[rank][j]) // prev
-            rows[i][c] = 0
-        prev = pc
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def _det_expansion_mod(rows, ring: ModularRing) -> int:
-    return _det_expansion_mod_ints([[e.value for e in row] for row in rows], ring.modulus)
-
-
-def _det_expansion_mod_ints(rows: list[list[int]], modulus: int) -> int:
-    """Cofactor expansion with memoisation on column subsets."""
-    n = len(rows)
-    memo = {0: 1}
-
-    def go(colmask: int) -> int:
-        if colmask in memo:
-            return memo[colmask]
-        depth = bin(colmask).count("1")
-        row = rows[n - depth]
-        total = 0
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not colmask & bit:
-                continue
-            if row[j]:
-                total += sign * row[j] * go(colmask ^ bit)
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        memo[colmask] = total % modulus
-        return memo[colmask]
+        prow = rows[r]
+        pc = prow[c]
+        for i in range(0 if jordan else r + 1, n):
+            f = rows[i][c]
+            if i != r and (f or pc != prev):
+                rows[i] = [(x * pc - f * y) // prev for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        prev = pc
+    return prev, sign
 
-    return go((1 << n) - 1)
 
+def _echelon(rows, ncols: int, modulus: int) -> list[int]:
+    """Howell form of integer rows mod m by extended-gcd row steps, in place.
 
-def _row_reduce(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
-    """In-place reduced row echelon form on the leading `ncols` columns.
-
-    Returns the pivot positions (row, col). Trailing columns (if any) are
-    carried along, which is how augmented systems are reduced here.
-    """
+    Each step replaces two rows by a unimodular combination with their gcd
+    above a zero; each pivot row times m/gcd(pivot, m) is appended and
+    reduced too.  That gives the Howell property (the weak Howell form of
+    Storjohann and Mulders): the rows from pivot t on span every vector of
+    the row module that vanishes before column pivots[t].  Only the first
+    `ncols` columns are pivoted, later ones ride along; rows past the last
+    pivot are dropped.  Returns the pivot columns, pivot t in row t."""
     pivots = []
-    r = 0
-    nrows = len(rows)
-    width = len(rows[0]) if rows else 0
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
+        r = len(pivots)
+        if r == len(rows):
             break
+        for i in range(r + 1, len(rows)):
+            a, b = rows[r][c], rows[i][c]
+            if not b:
+                continue
+            # s a + t b = g with a, b >= 0; a = 0 gives s = 0, t = 1, a swap
+            g = math.gcd(a, b)
+            s = pow(a // g, -1, b // g)
+            t = (g - s * a) // b
+            a, b = a // g, b // g
+            top = [(s * x + t * y) % modulus for x, y in zip(rows[r], rows[i])]
+            rows[i] = [(a * y - b * x) % modulus for x, y in zip(rows[r], rows[i])]
+            rows[r] = top
+        p = rows[r][c]
+        if not p:
+            continue
+        pivots.append(c)
+        ann = [modulus // math.gcd(p, modulus) * x % modulus for x in rows[r]]
+        if any(ann):
+            rows.append(ann)
+    del rows[len(pivots):]
     return pivots
 
 
-def _solve_fraction_field(a: ScalarMatrix, b: list) -> list[Fraction] | None:
-    """One particular solution of A x = b over the fraction field, or None.
-
-    Free variables are set to zero.
-    """
-    aug = []
-    for i in range(a.rows):
-        row = [_as_fraction(e) for e in a.row(i)]
-        row.append(_as_fraction(b[i]))
-        aug.append(row)
-    pivots = _row_reduce(aug, a.cols)
-    rank = len(pivots)
-    for i in range(rank, a.rows):
-        if aug[i][a.cols]:
+def _howell_solve(rows, pivots, modulus: int, b: list[int], k: int) -> list[int] | None:
+    """Forward substitution along rows [H | U] from `_echelon`: y with
+    y H = b mod m, returned as y U, or None when b is outside the span.
+    The Howell property makes the greedy choice at each pivot safe."""
+    x = [0] * k
+    n = len(b)
+    for row, c in zip(rows, pivots):
+        v = b[c] % modulus
+        if not v:
+            continue
+        # y with row[c] y = v: v/g times (row[c]/g)^-1 mod m/g
+        g = math.gcd(row[c], modulus)
+        if v % g:
             return None
-    x = [Fraction(0)] * a.cols
-    for r, c in pivots:
-        x[c] = aug[r][a.cols]
+        y = v // g * pow(row[c] // g, -1, modulus // g)
+        b = [bi - y * h for bi, h in zip(b, row)]
+        x = [xi + y * h for xi, h in zip(x, row[n:])]
+    if any(bi % modulus for bi in b):
+        return None
     return x
-
-
-def _solve_mod(rows, rhs, ring: ModularRing, cols: list[int]) -> dict | None:
-    """Recursive solver over Z/m: unit pivots when available, otherwise
-    enumerate the values of one stuck variable."""
-    m = ring.modulus
-    live = [(r, v) for r, v in zip(rows, rhs) if any(r[c] for c in cols) or v]
-    for r, v in live:
-        if not any(r[c] for c in cols) and v:
-            return None
-    if not live:
-        return {c: 0 for c in cols}
-    rows = [r for r, _ in live]
-    rhs = [v for _, v in live]
-    # look for a unit pivot
-    for ri, row in enumerate(rows):
-        for c in cols:
-            if math.gcd(row[c], m) == 1:
-                inv = pow(row[c], -1, m)
-                norm = {cc: row[cc] * inv % m for cc in cols}
-                nval = rhs[ri] * inv % m
-                sub_rows, sub_rhs = [], []
-                for rj, other in enumerate(rows):
-                    if rj == ri:
-                        continue
-                    f = other[c]
-                    sub_rows.append({cc: (other[cc] - f * norm[cc]) % m for cc in cols})
-                    sub_rhs.append((rhs[rj] - f * nval) % m)
-                rest = [cc for cc in cols if cc != c]
-                sub = _solve_mod(sub_rows, sub_rhs, ring, rest)
-                if sub is None:
-                    return None
-                val = (nval - sum(norm[cc] * sub[cc] for cc in rest)) % m
-                sub[c] = val
-                return sub
-    # no unit pivot anywhere: enumerate the first live column
-    c = next(cc for cc in cols if any(r[cc] for r in rows))
-    rest = [cc for cc in cols if cc != c]
-    for guess in range(m):
-        new_rhs = [(v - r[c] * guess) % m for r, v in zip(rows, rhs)]
-        sub = _solve_mod(rows, new_rhs, ring, rest)
-        if sub is not None:
-            sub[c] = guess
-            return sub
-    return None
 
 
 def solve_in_ring(a: ScalarMatrix, b) -> list[Scalar] | None:
     """Solve A x = b with x inside the ring of A, or return None.
 
-    Over Z the system is solved over Q and only an integral solution is
-    accepted; over Z/m (m <= 64) the solve is exhaustive.
-    """
+    One solve against the span of the columns of A (see SpanSolver): over Q
+    the solution with the free variables at zero, over Z and Z/m a solution
+    in the ring whenever one exists."""
     b = list(b)
     if len(b) != a.rows:
         raise ShapeError("right-hand side length does not match row count")
     for e in b:
         if e.ring is not a.ring:
             raise RingError("right-hand side must live in the matrix ring")
-    ring = a.ring
-    if isinstance(ring, ModularRing):
-        if ring.modulus > 64:
-            raise RingError("modular solve supported only for modulus <= 64")
-        rows = [{j: a.entry(i, j).value for j in range(a.cols)} for i in range(a.rows)]
-        sol = _solve_mod(rows, [e.value for e in b], ring, list(range(a.cols)))
-        if sol is None:
-            return None
-        return [ring(sol[j]) for j in range(a.cols)]
-    x = _solve_fraction_field(a, b)
-    if x is None:
-        return None
-    if ring is ZZ and any(f.denominator != 1 for f in x):
-        return None
-    return [ring(f) for f in x]
+    return SpanSolver([a.col(j) for j in range(a.cols)], a.ring).solve(b)
 
 
 def rank_over_fractions(a: ScalarMatrix) -> int:
     """Rank of A over the fraction field (Z or Q coefficients only)."""
     if isinstance(a.ring, ModularRing):
         raise RingError("rank over fractions is not defined for modular rings")
-    int_rows = []
-    for i in range(a.rows):
-        fr = [_as_fraction(e) for e in a.row(i)]
-        den = math.lcm(*(f.denominator for f in fr))
-        int_rows.append([int(f * den) for f in fr])
-    return _int_rank(int_rows)
+    pivots = []
+    rows = [_integer_row(a.row(i))[0] for i in range(a.rows)]
+    _bareiss(rows, range(a.cols), pivots, jordan=False)
+    return len(pivots)
 
 
 class SpanSolver:
-    """Repeated exact solves against a fixed set of spanning vectors.
+    """The span of column vectors over Z, Q or Z/m, for repeated solves and
+    for growing the span one vector at a time.
 
-    The reduction of [A | I] is done once; each solve is then a pass of
-    integer dot products. Supports Z and Q coefficient rings.
-    """
+    Over Z and Q, fraction-free Gauss-Jordan on [I | A] (columns scaled to
+    integers) leaves T with T A = d R, R reduced, and a solve is one dot
+    product per row of T over the one denominator d.  Over Z the free part
+    x_F must then make the pivot rows y - N x_F divisible by d, a system
+    mod |d| solved on its Howell form.  Over Z/m a solve is a forward
+    substitution along the Howell form of [A^T | I].  `rank` counts pivots:
+    over Z and Q, the rank over the fraction field."""
 
     def __init__(self, columns, ring: Ring):
-        if isinstance(ring, ModularRing):
-            raise RingError("SpanSolver requires Z or Q")
-        self.ring = ring
-        self.k = len(columns)
-        if self.k == 0:
+        columns = [list(col) for col in columns]
+        if not columns:
             raise ShapeError("need at least one spanning vector")
-        self.n = len(columns[0])
-        rows = []
-        for i in range(self.n):
-            row = [_as_fraction(col[i]) for col in columns]
-            row.extend(Fraction(1 if j == i else 0) for j in range(self.n))
-            rows.append(row)
-        self.pivots = _row_reduce(rows, self.k)
-        self.rank = len(self.pivots)
-        # integerised transform rows: (tuple of ints, common denominator)
-        self._trows = []
-        for row in rows:
-            t = row[self.k :]
-            den = math.lcm(*(f.denominator for f in t))
-            self._trows.append((tuple(int(f * den) for f in t), den))
+        self.ring = ring
+        self.n = n = len(columns[0])
+        self.k = len(columns)
+        self.pivots = []
+        if isinstance(ring, ModularRing):
+            self._rows = [
+                [s.value for s in col] + [int(i == j) for j in range(self.k)]
+                for i, col in enumerate(columns)
+            ]
+            self.pivots = _echelon(self._rows, n, ring.modulus)
+            return
+        cols = [_integer_row(col) for col in columns]
+        self._scales = [den for _, den in cols]
+        self._rows = [
+            [int(i == j) for j in range(n)] + [col[i] for col, _ in cols]
+            for i in range(n)
+        ]
+        self._d, _ = _bareiss(self._rows, range(n, n + self.k), self.pivots)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _image(self, values) -> list[int]:
+        """T times an integer vector, over the vector's non-zero entries."""
+        nz = [(j, v) for j, v in enumerate(values) if v]
+        return [sum(row[j] * v for j, v in nz) for row in self._rows]
 
     def solve(self, target) -> list[Scalar] | None:
         target = list(target)
         if len(target) != self.n:
             raise ShapeError("target length does not match span vectors")
-        fr = [_as_fraction(t) for t in target]
-        lcm = math.lcm(*(f.denominator for f in fr))
-        b = [int(f * lcm) for f in fr]
-        ys = []
-        for ints, den in self._trows:
-            num = sum(t * bv for t, bv in zip(ints, b) if t)
-            ys.append(Fraction(num, den * lcm))
-        for i in range(self.rank, self.n):
-            if ys[i]:
-                return None
-        x = [Fraction(0)] * self.k
-        for r, c in self.pivots:
-            x[c] = ys[r]
-        if self.ring is ZZ and any(f.denominator != 1 for f in x):
+        b, den = _integer_row(target)
+        ring, r = self.ring, self.rank
+        if isinstance(ring, ModularRing):
+            x = _howell_solve(self._rows, self.pivots, ring.modulus, b, self.k)
+            return None if x is None else [ring(v) for v in x]
+        ys = self._image(b)
+        if any(ys[r:]):
             return None
-        return [self.ring(f) for f in x]
-
-    def contains(self, target) -> bool:
-        return self.solve(target) is not None
-
-
-class FractionSpan:
-    """Incrementally maintained row space over Q, used for span closures."""
-
-    def __init__(self):
-        self._rows = []  # reduced rows, each a list of Fractions
-        self._leads = []  # leading column of each stored row
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
+        x = [0] * self.k
+        if ring is ZZ:
+            m = abs(self._d)
+            free = [j for j in range(self.n, self.n + self.k) if j not in self.pivots]
+            rows = [
+                [row[j] % m for row in self._rows[:r]] + [int(i == f) for f in range(len(free))]
+                for i, j in enumerate(free)
+            ]
+            xf = _howell_solve(rows, _echelon(rows, r, m), m, ys[:r], len(free))
+            if xf is None:
+                return None
+            for j, v in zip(free, xf):
+                x[j - self.n] = v
+                ys = [y - row[j] * v for y, row in zip(ys, self._rows)]
+        for y, c in zip(ys, self.pivots):
+            c -= self.n
+            x[c] = Fraction(y * self._scales[c], self._d * den)
+        return [ring(v) for v in x]
 
     def add(self, vec) -> bool:
-        """Reduce `vec` against the span; store and return True if it is new."""
-        v = [Fraction(x) if not isinstance(x, Fraction) else x for x in vec]
-        for row, lead in zip(self._rows, self._leads):
-            if v[lead]:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        lead = next((i for i, a in enumerate(v) if a), None)
-        if lead is None:
+        """Adjoin `vec` as one more spanning vector unless the span already
+        holds it; returns whether it was adjoined."""
+        vec = list(vec)
+        if len(vec) != self.n:
+            raise ShapeError("vector length does not match span vectors")
+        if self.ring is not QQ and self.solve(vec) is not None:
             return False
-        pv = v[lead]
-        v = [a / pv for a in v]
-        for i, (row, l2) in enumerate(zip(self._rows, self._leads)):
-            if row[lead]:
-                f = row[lead]
-                self._rows[i] = [a - f * b for a, b in zip(row, v)]
-        self._rows.append(v)
-        self._leads.append(lead)
+        if isinstance(self.ring, ModularRing):
+            for row in self._rows:
+                row.append(0)
+            self._rows.append([s.value for s in vec] + [0] * self.k + [1])
+            self.pivots = _echelon(self._rows, self.n, self.ring.modulus)
+        else:
+            v, den = _integer_row(vec)
+            w = self._image(v)
+            if self.ring is QQ and not any(w[self.rank :]):
+                return False
+            for row, x in zip(self._rows, w):
+                row.append(x)
+            self._scales.append(den)
+            self._d, _ = _bareiss(self._rows, [self.n + self.k], self.pivots, self._d)
+        self.k += 1
         return True
-
-    def contains(self, vec) -> bool:
-        v = [Fraction(x) if not isinstance(x, Fraction) else x for x in vec]
-        for row, lead in zip(self._rows, self._leads):
-            if v[lead]:
-                f = v[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)

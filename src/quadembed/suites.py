@@ -39,6 +39,7 @@ from .scalars import QQ, Ring, ScalarMatrix, SpanSolver, ZZ
 from .spin import SpinContext
 from .suslin import (
     FAMILIES,
+    CatalogError,
     bar_pair,
     catalog_generators,
     check_suslin_identities,
@@ -551,7 +552,7 @@ def _catalog_families(cfg: SuiteConfig) -> CheckResult:
             try:
                 gens = catalog_generators(family, n, ring)
                 details[f"{family}:{n}"] = len(gens)
-            except Exception as err:  # relation or rank failure
+            except CatalogError as err:
                 failures.append({"family": family, "n": n, "error": str(err)})
     return _result("families", failures, generators=details)
 

@@ -143,6 +143,11 @@ def test_span_coords_unit_column():
     assert coords[0] == ZZ(1)
     recon = basis[0].scale(coords[0]) + basis[1].scale(coords[1]) + basis[2].scale(coords[2])
     assert recon == basis[0]
+    # 1x1 matrices 2 and 3 span Z although neither alone does: 1 = -2 + 3
+    two, three, one = (int_mat(ZZ, [[v]]) for v in (2, 3, 1))
+    coords = span_coords([two, three], one)
+    assert coords is not None
+    assert two.scale(coords[0]) + three.scale(coords[1]) == one
 
 
 def test_span_coords_identity_in_hyperbolic_basis():

@@ -87,6 +87,20 @@ def test_usage_error_exit_code(capsys):
     assert err
 
 
+def test_bad_input_exits_2_with_one_line(capsys):
+    for argv in (
+        ("verify", "--suite", "catalog", "--samples", "0"),
+        ("verify", "--suite", "catalog", "--samples", "-1"),
+        ("clifford", "mul", "--space", "hyp:1", "--a", "9:1", "--b", "1:1"),
+        ("clifford", "mul", "--space", "hyp:1", "--a", "1:1",
+         "--b", '{"terms": [{"mask": -1, "coeff": "1"}]}'),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "suslin", "--seed", "1", "--samples", "5"

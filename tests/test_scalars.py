@@ -1,6 +1,7 @@
 """Ring arithmetic and the exact linear solvers."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -68,6 +69,18 @@ def test_modular_canonical_form():
     assert (Zmod(5)(4) + Zmod(5)(3)).value == 2
 
 
+def test_equality_agrees_with_hash():
+    assert ZZ(2) == 2 and hash(ZZ(2)) == hash(2)
+    assert ZZ(2) in {2}
+    half = Fraction(1, 2)
+    assert QQ(half) == half and hash(QQ(half)) == hash(half)
+    assert QQ(2) == 2 and hash(QQ(2)) == hash(2)
+    # a residue equals only its canonical representative
+    assert Zmod(5)(2) == 2 and hash(Zmod(5)(2)) == hash(2)
+    assert Zmod(5)(2) != 7 and Zmod(5)(2) != -3
+    assert Zmod(5)(7) in {2}
+
+
 def test_mixed_ring_arithmetic_rejected():
     with pytest.raises(RingError):
         ZZ(1) + QQ(1)
@@ -77,6 +90,15 @@ def test_solve_examples():
     a = ScalarMatrix.of_ints(ZZ, [[2]])
     assert solve_in_ring(a, ints(ZZ, [4])) == ints(ZZ, [2])
     assert solve_in_ring(a, ints(ZZ, [3])) is None
+    # underdetermined over Z: with the free variable at zero the solution is
+    # not integral (x = 1/2, resp. y = -1/2), but integral solutions exist
+    for rows, x in (([[2, 3]], [-1, 1]), ([[2, 4, 3], [0, 6, 3]], [1, -1, 1])):
+        a = ScalarMatrix.of_ints(ZZ, rows)
+        b = a.apply(ints(ZZ, x))
+        span = SpanSolver([a.col(j) for j in range(a.cols)], ZZ)
+        for got in (solve_in_ring(a, b), span.solve(b)):
+            assert got is not None
+            assert a.apply(got) == b
 
 
 def back_substitute(aug):
@@ -163,21 +185,40 @@ def test_solve_certifies_solution_on_random_integer_systems():
     assert hits > 10  # sanity: the sampler does produce solvable systems
 
 
+def test_integer_solve_matches_brute_force():
+    rng = random.Random(31)
+    for _ in range(300):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
+        b = [rng.randint(-4, 4) for _ in range(n)]
+        a = ScalarMatrix.of_ints(ZZ, rows)
+        got = solve_in_ring(a, ints(ZZ, b))
+        box = [
+            x
+            for x in product(range(-4, 5), repeat=k)
+            if all(sum(r[j] * x[j] for j in range(k)) == bi for r, bi in zip(rows, b))
+        ]
+        if box:
+            assert got is not None
+        if got is not None:
+            assert a.apply(got) == ints(ZZ, b)
+
+
 def test_modular_solve_matches_brute_force():
     rng = random.Random(5)
-    for m in (2, 4, 6, 9):
+    for m, size in ((2, 2), (4, 2), (6, 2), (9, 2), (8, 3), (12, 3)):
         ring = Zmod(m)
         for _ in range(40):
-            rows = [[rng.randrange(m) for _ in range(2)] for _ in range(2)]
+            rows = [[rng.randrange(m) for _ in range(size)] for _ in range(size)]
             a = ScalarMatrix.of_ints(ring, rows)
-            b = [ring(rng.randrange(m)) for _ in range(2)]
+            b = [ring(rng.randrange(m)) for _ in range(size)]
             got = solve_in_ring(a, b)
             solutions = [
                 x
-                for x in product(range(m), repeat=2)
+                for x in product(range(m), repeat=size)
                 if all(
-                    (rows[i][0] * x[0] + rows[i][1] * x[1]) % m == b[i].value
-                    for i in range(2)
+                    sum(r * xj for r, xj in zip(rows[i], x)) % m == b[i].value
+                    for i in range(size)
                 )
             ]
             if got is None:
@@ -187,20 +228,33 @@ def test_modular_solve_matches_brute_force():
 
 
 def test_modular_solve_nonunit_pivots():
-    # every coefficient is a zero divisor mod 6, so elimination must enumerate
+    # every coefficient is a zero divisor mod 6
     ring = Zmod(6)
     a = ScalarMatrix.of_ints(ring, [[2, 3], [4, 3]])
     b = [ring(5), ring(1)]
     x = solve_in_ring(a, b)
     assert x is not None
     assert a.apply(x) == b
+    # no unit anywhere mod 64 either; the solve must not search the values
+    rng = random.Random(37)
+    ring = Zmod(64)
+    a = ScalarMatrix.of_ints(ring, [[2 * rng.randrange(32) for _ in range(6)] for _ in range(6)])
+    b = a.apply([ring(rng.randrange(64)) for _ in range(6)])
+    start = time.perf_counter()
+    x = solve_in_ring(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert x is not None
+    assert a.apply(x) == b
 
 
 def test_modular_modulus_cap():
+    """Modular solves have no cap on the modulus."""
     ring = Zmod(101)
-    a = ScalarMatrix.identity(2, ring)
-    with pytest.raises(RingError):
-        solve_in_ring(a, [ring(1), ring(0)])
+    a = ScalarMatrix.of_ints(ring, [[3, 7], [50, 100]])
+    b = [ring(1), ring(0)]
+    x = solve_in_ring(a, b)
+    assert x is not None
+    assert a.apply(x) == b
 
 
 def cofactor_det(rows):
@@ -235,6 +289,12 @@ def test_determinant_modular_matches_oracle():
             rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
             mat = ScalarMatrix.of_ints(ring, rows)
             assert mat.determinant() == ring(cofactor_det(rows) % m)
+    # past the sizes a cofactor expansion reaches: the integer determinant mod m
+    for n in range(10, 17):
+        m = rng.choice((6, 64, 101))
+        rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+        want = ScalarMatrix.of_ints(ZZ, rows).determinant().value % m
+        assert ScalarMatrix.of_ints(Zmod(m), rows).determinant() == Zmod(m)(want)
 
 
 def test_big_integer_determinant_is_exact():
@@ -264,26 +324,41 @@ def test_inverse_modular():
     ring = Zmod(6)
     m = ScalarMatrix.of_ints(ring, [[1, 2], [0, 5]])
     assert m * m.inverse() == ScalarMatrix.identity(2, ring)
+    ring = Zmod(26)
+    rng = random.Random(41)
+    m = ScalarMatrix.of_ints(ring, [[rng.randrange(26) for _ in range(10)] for _ in range(10)])
+    while not m.determinant().is_unit():
+        m = ScalarMatrix.of_ints(ring, [[rng.randrange(26) for _ in range(10)] for _ in range(10)])
+    assert m * m.inverse() == ScalarMatrix.identity(10, ring)
+    assert m.inverse() * m == ScalarMatrix.identity(10, ring)
 
 
 def test_span_solver_agrees_with_solve_in_ring():
     rng = random.Random(29)
-    for ring in (ZZ, QQ):
+    for ring in (ZZ, QQ, Zmod(12)):
         for _ in range(60):
             n, k = rng.randint(1, 5), rng.randint(1, 4)
             cols = [
                 [ring(rng.randint(-4, 4)) for _ in range(n)] for _ in range(k)
             ]
             solver = SpanSolver(cols, ring)
+            grown = SpanSolver(cols[:1], ring)
+            kept = [cols[0]] + [c for c in cols[1:] if grown.add(c)]
+            assert grown.rank == solver.rank
             target = [ring(rng.randint(-4, 4)) for _ in range(n)]
             a = ScalarMatrix.from_rows(
                 [[cols[j][i] for j in range(k)] for i in range(n)]
             )
             direct = solve_in_ring(a, target)
             cached = solver.solve(target)
-            assert (direct is None) == (cached is None)
+            incremental = grown.solve(target)
+            assert (direct is None) == (cached is None) == (incremental is None)
             if direct is not None:
                 assert a.apply(cached) == target
+                combo = [ring(0)] * n
+                for c, x in zip(kept, incremental):
+                    combo = [s + x * v for s, v in zip(combo, c)]
+                assert combo == target
 
 
 def test_shape_errors():

@@ -276,6 +276,26 @@ def test_catalog_relation_failure_reported():
         extend_universal(space, [one, gens[1]], one)
 
 
+def test_catalog_suite_reports_only_catalog_errors(monkeypatch):
+    import quadembed.suites as suites
+    from quadembed.suslin import CatalogError
+
+    def broken(family, n, ring):
+        raise CatalogError(f"family {family} at n={n}: relation failure")
+
+    monkeypatch.setattr(suites, "catalog_generators", broken)
+    report = suites.run_suite(suites.SuiteConfig(suite="catalog", samples=1))
+    families = next(c for c in report["checks"] if c["name"] == "families")
+    assert not families["passed"]
+
+    def crashing(family, n, ring):
+        raise KeyError("not a catalog failure")
+
+    monkeypatch.setattr(suites, "catalog_generators", crashing)
+    with pytest.raises(KeyError):
+        suites.run_suite(suites.SuiteConfig(suite="catalog", samples=1))
+
+
 def test_catalog_guards():
     with pytest.raises(ShapeError):
         catalog_generators("hyperbolic2n", 3, ZZ)
