@@ -8,20 +8,14 @@ from .scalars import (
     ShapeError,
     ZZ,
     Zmod,
-    is_nonzerodivisor,
-    is_unit,
     rank_over_fractions,
     solve_in_ring,
 )
 from .qspace import (
     QuadraticSpace,
-    bilinear,
     diagonal_space,
-    evaluate_q,
     find_isometry,
     hyperbolic,
-    is_nondegenerate,
-    is_nonsingular,
     negate,
     orthogonal_sum,
 )
@@ -29,7 +23,6 @@ from .clifford import (
     CliffordElement,
     CliffordRelationError,
     check_graded_iso_sum,
-    cl_mul,
     embed_vector,
     extend_universal,
     grade_component,
@@ -42,16 +35,10 @@ from .clifford import (
 from .algmat import (
     AlgMatrix,
     CliffordCoeffs,
-    ScalarCoeffs,
     block2,
-    determinant,
     generated_algebra_rank,
-    mat_add,
-    mat_mul,
     parity_of_block_matrix,
-    scalar_mul,
     span_coords,
-    transpose,
 )
 from .embedding import (
     Embedding,
@@ -72,10 +59,33 @@ from .suslin import (
     check_suslin_identities,
     derive_j,
     hyperbolic_clifford_iso,
-    suslin,
-    suslin_bar,
     suslin_embedding,
 )
 from .spin import EvenPair, GroupElement, SpinContext
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# `suslin` and `suslin_bar` stay in `quadembed.suslin`: binding them here
+# would shadow the submodule of the same name.
+__all__ = [
+    # scalars
+    "QQ", "RingError", "Scalar", "ScalarMatrix", "ShapeError", "ZZ", "Zmod",
+    "rank_over_fractions", "solve_in_ring",
+    # qspace
+    "QuadraticSpace", "diagonal_space", "find_isometry", "hyperbolic", "negate",
+    "orthogonal_sum",
+    # clifford
+    "CliffordElement", "CliffordRelationError", "check_graded_iso_sum", "embed_vector",
+    "extend_universal", "grade_component", "grade_involution", "graded_tensor",
+    "is_homogeneous", "pbw_basis", "standard_involution",
+    # algmat
+    "AlgMatrix", "CliffordCoeffs", "block2", "generated_algebra_rank",
+    "parity_of_block_matrix", "span_coords",
+    # embedding
+    "Embedding", "EmbeddingError", "InvolutionForm", "build_phi", "check_alpha_order_two",
+    "clifford_self_embedding", "involutions_conflict_check", "jordan_product",
+    "lift_involution", "validate_embedding",
+    # suslin
+    "SuslinPair", "catalog_generators", "catalog_space", "check_suslin_identities",
+    "derive_j", "hyperbolic_clifford_iso", "suslin_embedding",
+    # spin
+    "EvenPair", "GroupElement", "SpinContext",
+]

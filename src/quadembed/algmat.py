@@ -1,5 +1,11 @@
-"""Square matrices over a coefficient algebra: plain scalars, or a Clifford
-algebra used as the entry domain."""
+"""Square matrices with Clifford-algebra entries, and the block, span and
+basis helpers shared with `ScalarMatrix`, the matrix type for plain scalar
+entries.
+
+A coefficient algebra is either a `Ring` (entries are scalars, matrices are
+`ScalarMatrix`) or a `CliffordCoeffs` (entries are Clifford elements,
+matrices are `AlgMatrix`).
+"""
 
 from __future__ import annotations
 
@@ -20,54 +26,14 @@ from .scalars import (
 
 
 @dataclass(frozen=True)
-class ScalarCoeffs:
-    """Entries are plain ring scalars."""
-
-    ring: Ring
-
-    kind = "scalars"
-
-    @property
-    def flat_dim(self) -> int:
-        return 1
-
-    def zero(self):
-        return self.ring.zero
-
-    def one(self):
-        return self.ring.one
-
-    def from_scalar(self, s: Scalar):
-        return s
-
-    def scale(self, s: Scalar, a):
-        return s * a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def flatten(self, a) -> list[Scalar]:
-        return [a]
-
-    def entry_to_json(self, a):
-        return str(a)
-
-
-@dataclass(frozen=True)
 class CliffordCoeffs:
     """Entries are elements of a fixed Clifford algebra."""
 
     space: QuadraticSpace
 
-    kind = "clifford"
-
     @property
     def ring(self) -> Ring:
         return self.space.ring
-
-    @property
-    def flat_dim(self) -> int:
-        return 1 << self.space.rank
 
     def zero(self):
         return cl_zero(self.space)
@@ -75,28 +41,13 @@ class CliffordCoeffs:
     def one(self):
         return cl_one(self.space)
 
-    def from_scalar(self, s: Scalar):
-        return cl_scalar(self.space, s)
-
-    def scale(self, s: Scalar, a):
-        return a.scale(s)
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero
-
-    def flatten(self, a) -> list[Scalar]:
-        return a.coefficients()
-
-    def entry_to_json(self, a):
-        return {"terms": [{"mask": m, "coeff": str(c)} for m, c in sorted(a.terms.items())]}
-
 
 class AlgMatrix:
-    """A square matrix with entries in a coefficient algebra."""
+    """A square matrix with entries in a Clifford algebra."""
 
     __slots__ = ("dim", "algebra", "entries")
 
-    def __init__(self, algebra, rows):
+    def __init__(self, algebra: CliffordCoeffs, rows):
         entries = tuple(tuple(row) for row in rows)
         dim = len(entries)
         for row in entries:
@@ -116,19 +67,24 @@ class AlgMatrix:
         z = algebra.zero()
         return cls(algebra, [[z] * dim for _ in range(dim)])
 
-    @classmethod
-    def from_scalar_matrix(cls, m: ScalarMatrix) -> "AlgMatrix":
-        if m.rows != m.cols:
+    @staticmethod
+    def from_scalar_matrix(m: ScalarMatrix) -> ScalarMatrix:
+        """`m` itself, after checking it is square.  Scalar entries live in
+        `ScalarMatrix`; this stays only for the benchmark's workloads
+        (bench/workloads.py), which still call it."""
+        if not m.is_square():
             raise ShapeError("matrix must be square")
-        return cls(ScalarCoeffs(m.ring), m.row_lists())
+        return m
 
-    def to_scalar_matrix(self) -> ScalarMatrix:
-        if not isinstance(self.algebra, ScalarCoeffs):
-            raise RingError("entries are not plain scalars")
-        return ScalarMatrix.from_rows([list(r) for r in self.entries])
+    @property
+    def ring(self) -> Ring:
+        return self.algebra.ring
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
+
+    def row(self, i: int):
+        return self.entries[i]
 
     def _check(self, other: "AlgMatrix"):
         if self.dim != other.dim:
@@ -147,14 +103,7 @@ class AlgMatrix:
         )
 
     def __sub__(self, other):
-        self._check(other)
-        return AlgMatrix(
-            self.algebra,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return self + -other
 
     def __neg__(self):
         return AlgMatrix(self.algebra, [[-a for a in row] for row in self.entries])
@@ -164,7 +113,6 @@ class AlgMatrix:
             return NotImplemented
         self._check(other)
         n = self.dim
-        alg = self.algebra
         rows = []
         for i in range(n):
             out_row = []
@@ -172,20 +120,19 @@ class AlgMatrix:
                 acc = None
                 for k in range(n):
                     a = self.entries[i][k]
-                    if alg.is_zero(a):
+                    if a.is_zero:
                         continue
                     b = other.entries[k][j]
-                    if alg.is_zero(b):
+                    if b.is_zero:
                         continue
                     term = a * b
                     acc = term if acc is None else acc + term
-                out_row.append(acc if acc is not None else alg.zero())
+                out_row.append(acc if acc is not None else self.algebra.zero())
             rows.append(out_row)
-        return AlgMatrix(alg, rows)
+        return AlgMatrix(self.algebra, rows)
 
     def scale(self, s: Scalar) -> "AlgMatrix":
-        alg = self.algebra
-        return AlgMatrix(alg, [[alg.scale(s, a) for a in row] for row in self.entries])
+        return AlgMatrix(self.algebra, [[a.scale(s) for a in row] for row in self.entries])
 
     def transpose(self) -> "AlgMatrix":
         # plain transpose: no entry involution is applied
@@ -207,80 +154,64 @@ class AlgMatrix:
         return hash((self.algebra, self.entries))
 
     def flatten(self) -> list[Scalar]:
-        """Row-major concatenation of flattened entries."""
-        out = []
-        for row in self.entries:
-            for a in row:
-                out.extend(self.algebra.flatten(a))
-        return out
+        """Row-major concatenation of the entries' coefficient vectors."""
+        return [c for row in self.entries for a in row for c in a.coefficients()]
 
     def blocks2(self):
         """Split an even-dimensional matrix into its four half-size blocks."""
-        if self.dim % 2:
+        h, odd = divmod(self.dim, 2)
+        if odd:
             raise ShapeError("need an even dimension")
-        h = self.dim // 2
-
-        def sub(r0, c0):
-            return AlgMatrix(
-                self.algebra,
-                [[self.entries[r0 + i][c0 + j] for j in range(h)] for i in range(h)],
-            )
-
-        return sub(0, 0), sub(0, h), sub(h, 0), sub(h, h)
+        return tuple(
+            AlgMatrix(self.algebra, [row[c0 : c0 + h] for row in self.entries[r0 : r0 + h]])
+            for r0 in (0, h)
+            for c0 in (0, h)
+        )
 
     def is_zero(self) -> bool:
-        return all(self.algebra.is_zero(a) for row in self.entries for a in row)
+        return all(a.is_zero for row in self.entries for a in row)
 
     def to_json(self):
-        alg = self.algebra
-        if isinstance(alg, ScalarCoeffs):
-            algebra_json = {"kind": "scalars", "ring": alg.ring.name}
-        else:
-            algebra_json = {"kind": "clifford", "space": alg.space.to_json()}
-        return {
-            "dim": self.dim,
-            "algebra": algebra_json,
-            "entries": [[alg.entry_to_json(a) for a in row] for row in self.entries],
-        }
+        return [
+            [{"terms": [{"mask": m, "coeff": str(c)} for m, c in sorted(a.terms.items())]}
+             for a in row]
+            for row in self.entries
+        ]
 
     def __repr__(self):
-        return f"AlgMatrix(dim={self.dim}, algebra={self.algebra.kind})"
+        return f"AlgMatrix(dim={self.dim}, algebra=clifford)"
 
 
-def mat_mul(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
-    return a * b
+def entry_algebra(m):
+    """The coefficient algebra of a matrix: the ring of a ScalarMatrix, the
+    CliffordCoeffs of an AlgMatrix."""
+    return m.ring if isinstance(m, ScalarMatrix) else m.algebra
 
 
-def mat_add(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
-    return a + b
+def matrix_json(m) -> dict:
+    """A square matrix as JSON: its dimension, coefficient algebra and entries."""
+    if isinstance(m, ScalarMatrix):
+        algebra = {"kind": "scalars", "ring": m.ring.name}
+    else:
+        algebra = {"kind": "clifford", "space": m.algebra.space.to_json()}
+    return {"dim": m.dim, "algebra": algebra, "entries": m.to_json()}
 
 
-def scalar_mul(s: Scalar, m: AlgMatrix) -> AlgMatrix:
-    return m.scale(s)
-
-
-def transpose(m: AlgMatrix) -> AlgMatrix:
-    return m.transpose()
-
-
-def block2(a: AlgMatrix, b: AlgMatrix, c: AlgMatrix, d: AlgMatrix) -> AlgMatrix:
+def block2(a, b, c, d):
     """Assemble the doubled matrix [[a, b], [c, d]] from equal-sized blocks."""
-    blocks = (a, b, c, d)
     dim = a.dim
-    for m in blocks:
+    for m in (a, b, c, d):
         if m.dim != dim:
             raise ShapeError("blocks must share one dimension")
-        if m.algebra != a.algebra:
+        if entry_algebra(m) != entry_algebra(a):
             raise RingError("blocks must share one coefficient algebra")
-    rows = []
-    for i in range(dim):
-        rows.append(list(a.entries[i]) + list(b.entries[i]))
-    for i in range(dim):
-        rows.append(list(c.entries[i]) + list(d.entries[i]))
+    rows = [a.row(i) + b.row(i) for i in range(dim)] + [c.row(i) + d.row(i) for i in range(dim)]
+    if isinstance(a, ScalarMatrix):
+        return ScalarMatrix(2 * dim, 2 * dim, [e for row in rows for e in row], a.ring)
     return AlgMatrix(a.algebra, rows)
 
 
-def parity_of_block_matrix(m: AlgMatrix) -> int | None:
+def parity_of_block_matrix(m) -> int | None:
     """0 when both off-diagonal blocks vanish, 1 when both diagonal blocks
     vanish, None otherwise."""
     a, b, c, d = m.blocks2()
@@ -291,21 +222,15 @@ def parity_of_block_matrix(m: AlgMatrix) -> int | None:
     return None
 
 
-def determinant(m: AlgMatrix) -> Scalar:
-    if not isinstance(m.algebra, ScalarCoeffs):
-        raise RingError("determinant needs scalar entries")
-    return m.to_scalar_matrix().determinant()
-
-
-def span_coords(basis, m: AlgMatrix) -> list[Scalar] | None:
+def span_coords(basis, m) -> list[Scalar] | None:
     """Coordinates of `m` as a ring-linear combination of `basis`, or None."""
     basis = list(basis)
     if not basis:
         raise ShapeError("empty basis")
     for b in basis:
-        if b.dim != m.dim or b.algebra != m.algebra:
+        if b.dim != m.dim or entry_algebra(b) != entry_algebra(m):
             raise ShapeError("basis and target must match in shape and algebra")
-    return SpanSolver([b.flatten() for b in basis], m.algebra.ring).solve(m.flatten())
+    return SpanSolver([b.flatten() for b in basis], m.ring).solve(m.flatten())
 
 
 def generated_algebra_rank(generators) -> int:
@@ -319,17 +244,16 @@ def generated_algebra_rank(generators) -> int:
     if not generators:
         raise ShapeError("need at least one generator")
     first = generators[0]
-    alg = first.algebra
-    if not isinstance(alg, ScalarCoeffs) or alg.ring not in (ZZ, QQ):
+    if not isinstance(first, ScalarMatrix) or first.ring not in (ZZ, QQ):
         raise RingError("generated rank needs scalar entries over Z or Q")
     if first.dim > 16:
         raise ShapeError("dimension capped at 16")
     for g in generators:
-        if g.dim != first.dim or g.algebra != alg:
+        if g.dim != first.dim or entry_algebra(g) is not first.ring:
             raise ShapeError("generators must match in shape and algebra")
 
     # the span is taken over Q, so the rank is the one over the fraction field
-    span = SpanSolver([AlgMatrix.identity(alg, first.dim).flatten()], QQ)
+    span = SpanSolver([ScalarMatrix.identity(first.dim, first.ring).flatten()], QQ)
     frontier = []
     for g in generators:
         if span.add(g.flatten()):
@@ -347,28 +271,35 @@ def generated_algebra_rank(generators) -> int:
     return span.rank
 
 
-def algebra_basis(algebra, dim: int) -> list[AlgMatrix]:
+def algebra_basis(algebra, dim: int) -> list:
     """Module basis of the matrix algebra: unit matrices times entry basis."""
-    out = []
-    if isinstance(algebra, ScalarCoeffs):
-        entry_basis = [algebra.one()]
+    if isinstance(algebra, Ring):
+        zero, entry_basis, make = algebra.zero, [algebra.one], ScalarMatrix.from_rows
     else:
-        entry_basis = pbw_basis(algebra.space)
-    zero = algebra.zero()
+        zero, entry_basis = algebra.zero(), pbw_basis(algebra.space)
+
+        def make(rows):
+            return AlgMatrix(algebra, rows)
+
+    out = []
     for i in range(dim):
         for j in range(dim):
             for e in entry_basis:
                 rows = [[zero] * dim for _ in range(dim)]
                 rows[i][j] = e
-                out.append(AlgMatrix(algebra, rows))
+                out.append(make(rows))
     return out
 
 
-def lift_scalar_matrix(m: ScalarMatrix, algebra) -> AlgMatrix:
-    """Re-interpret a scalar matrix inside a larger coefficient algebra."""
+def lift_scalar_matrix(m: ScalarMatrix, algebra):
+    """Re-interpret a scalar matrix inside a coefficient algebra; over its
+    own ring it comes back unchanged."""
+    if isinstance(algebra, Ring):
+        if algebra is not m.ring:
+            raise RingError("ring mismatch")
+        return m
     if m.ring is not algebra.ring:
         raise RingError("ring mismatch")
     return AlgMatrix(
-        algebra, [[algebra.from_scalar(e) for e in m.row(i)] for i in range(m.rows)]
+        algebra, [[cl_scalar(algebra.space, e) for e in m.row(i)] for i in range(m.rows)]
     )
-

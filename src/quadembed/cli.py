@@ -9,7 +9,8 @@ import argparse
 import json
 import sys
 
-from .clifford import CliffordElement, cl_mul
+from .algmat import matrix_json
+from .clifford import CliffordElement
 from .qspace import QuadraticSpace, diagonal_space, hyperbolic
 from .scalars import QQ, Ring, RingError, ShapeError, ZZ, Zmod, parse_scalar
 from .suites import SUITES, run_suites
@@ -77,9 +78,9 @@ def _emit(obj) -> None:
 def _cmd_suslin(args) -> int:
     ring = _parse_ring(args.ring)
     pair = suslin_pair(ring, _parse_vector(args.v, ring), _parse_vector(args.w, ring))
-    out = {"n": len(pair.v) - 1, "s": suslin(pair).to_json()["entries"]}
+    out = {"n": len(pair.v) - 1, "s": suslin(pair).to_json()}
     if args.bar:
-        out["sbar"] = suslin_bar(pair).to_json()["entries"]
+        out["sbar"] = suslin_bar(pair).to_json()
     if args.check:
         report = check_suslin_identities(pair)
         out["identities"] = report.to_json()
@@ -94,7 +95,7 @@ def _cmd_clifford_mul(args) -> int:
     space = _parse_space(args.space, ring)
     a = _parse_element(args.a, space)
     b = _parse_element(args.b, space)
-    _emit(cl_mul(a, b).to_json())
+    _emit((a * b).to_json())
     return 0
 
 
@@ -131,7 +132,7 @@ def _cmd_catalog(args) -> int:
             "family": args.family,
             "n": args.n,
             "space": space.to_json(),
-            "generators": [g.to_json() for g in gens],
+            "generators": [matrix_json(g) for g in gens],
         }
     )
     return 0

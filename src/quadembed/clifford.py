@@ -193,10 +193,6 @@ def embed_vector(space: QuadraticSpace, x) -> CliffordElement:
     return CliffordElement(space, {1 << i: c for i, c in enumerate(coords)})
 
 
-def cl_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    return a * b
-
-
 def grade_involution(a: CliffordElement) -> CliffordElement:
     return CliffordElement(
         a.space,
@@ -406,10 +402,6 @@ class GradedTensorAlgebra:
 
 def graded_tensor(s1: QuadraticSpace, s2: QuadraticSpace) -> GradedTensorAlgebra:
     return GradedTensorAlgebra(s1, s2)
-
-
-def gt_mul(a: GradedTensorElement, b: GradedTensorElement) -> GradedTensorElement:
-    return a * b
 
 
 def check_graded_iso_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> bool:

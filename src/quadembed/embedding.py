@@ -14,10 +14,11 @@ from typing import Callable, Optional
 
 from .algmat import (
     AlgMatrix,
-    ScalarCoeffs,
     CliffordCoeffs,
     algebra_basis,
     block2,
+    entry_algebra,
+    lift_scalar_matrix,
     parity_of_block_matrix,
     span_coords,
 )
@@ -80,7 +81,10 @@ class InvolutionForm:
 
 
 class Embedding:
-    """Images of a quadratic space's basis inside a matrix algebra."""
+    """Images of a quadratic space's basis inside a matrix algebra.
+
+    `algebra` is the entry algebra: the base ring itself for ScalarMatrix
+    images, a CliffordCoeffs for AlgMatrix images."""
 
     def __init__(
         self,
@@ -90,7 +94,7 @@ class Embedding:
         rho,
         alpha: ScalarMatrix,
         involution: Optional[InvolutionForm] = None,
-        a_star: Optional[Callable[[AlgMatrix], AlgMatrix]] = None,
+        a_star: Optional[Callable] = None,
     ):
         rho = tuple(rho)
         if len(rho) != space.rank:
@@ -98,9 +102,9 @@ class Embedding:
         for m in rho:
             if m.dim != dim:
                 raise ShapeError("basis images must have the declared dimension")
-            if m.algebra != algebra:
+            if entry_algebra(m) != algebra:
                 raise RingError("basis images must share the coefficient algebra")
-        if algebra.ring is not space.ring:
+        if rho[0].ring is not space.ring:
             raise RingError("algebra and space must share the base ring")
         if alpha.rows != space.rank or alpha.cols != space.rank:
             raise ShapeError("bar matrix must be rank x rank")
@@ -126,26 +130,33 @@ class Embedding:
             self._v_span = SpanSolver([m.flatten() for m in self.rho], self.ring)
         return self._v_span
 
-    def identity_matrix(self) -> AlgMatrix:
-        return AlgMatrix.identity(self.algebra, self.dim)
+    @property
+    def scalar_entries(self) -> bool:
+        return self.algebra is self.ring
+
+    def identity_matrix(self):
+        return lift_scalar_matrix(ScalarMatrix.identity(self.dim, self.ring), self.algebra)
+
+    def zero_matrix(self):
+        return self.identity_matrix().scale(self.ring.zero)
 
     def bar_coords(self, coords) -> list[Scalar]:
         return self.alpha.apply(self.space.coordinates(coords))
 
-    def rho_of(self, coords) -> AlgMatrix:
+    def rho_of(self, coords):
         """Image of the vector with the given coordinates."""
         coords = self.space.coordinates(coords)
-        total = AlgMatrix.zero(self.algebra, self.dim)
+        total = self.zero_matrix()
         for c, m in zip(coords, self.rho):
             if not c.is_zero:
                 total = total + m.scale(c)
         return total
 
-    def rho_bar_of(self, coords) -> AlgMatrix:
+    def rho_bar_of(self, coords):
         return self.rho_of(self.bar_coords(coords))
 
     def to_json(self):
-        if isinstance(self.algebra, ScalarCoeffs):
+        if self.scalar_entries:
             algebra_json = {"kind": "scalars", "dim": self.dim}
         else:
             algebra_json = {
@@ -156,7 +167,7 @@ class Embedding:
         data = {
             "space": self.space.to_json(),
             "algebra": algebra_json,
-            "rho": [m.to_json()["entries"] for m in self.rho],
+            "rho": [m.to_json() for m in self.rho],
             "alpha": self.alpha.to_json(),
             "involution": None,
         }
@@ -167,7 +178,7 @@ class Embedding:
     def __repr__(self):
         return (
             f"Embedding(rank={self.space.rank}, dim={self.dim}, "
-            f"algebra={self.algebra.kind})"
+            f"algebra={'scalars' if self.scalar_entries else 'clifford'})"
         )
 
 
@@ -230,7 +241,7 @@ def validate_embedding(e: Embedding) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
-def v_coordinates(e: Embedding, m: AlgMatrix) -> list[Scalar] | None:
+def v_coordinates(e: Embedding, m) -> list[Scalar] | None:
     """Coordinates of a matrix inside the embedded copy of V, or None."""
     return e.v_span.solve(m.flatten())
 
@@ -252,11 +263,11 @@ class PhiMap:
         self.monomial_rank = rank_over_fractions(rows)
         self.injective = self.monomial_rank == 1 << n
 
-    def __call__(self, x: CliffordElement) -> AlgMatrix:
+    def __call__(self, x: CliffordElement):
         return self.universal(x)
 
     @property
-    def one(self) -> AlgMatrix:
+    def one(self):
         return self.universal.one
 
 
@@ -274,12 +285,13 @@ def build_phi(e: Embedding) -> PhiMap:
         raise EmbeddingError(f"embedding axioms fail: {report.failures}")
     if not e.space.is_nondegenerate():
         raise EmbeddingError("quadratic space must be non-degenerate")
-    zero = AlgMatrix.zero(e.algebra, e.dim)
+    zero = e.zero_matrix()
     images = [
         block2(zero, e.rho[i], e.rho_bar_of(e.space.basis_vector(i)), zero)
         for i in range(e.space.rank)
     ]
-    one = AlgMatrix.identity(e.algebra, 2 * e.dim)
+    one = e.identity_matrix()
+    one = block2(one, zero, zero, one)
     universal = extend_universal(e.space, images, one)
     phi = PhiMap(e, universal, images)
     if not phi.injective:
@@ -335,7 +347,7 @@ class LiftedInvolution:
         self.embedding = e
         self.form = form
 
-    def __call__(self, m: AlgMatrix) -> AlgMatrix:
+    def __call__(self, m):
         if m.dim != 2 * self.embedding.dim:
             raise ShapeError("expected a doubled matrix")
         star = self.embedding.a_star
@@ -386,7 +398,7 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
                 raise InvolutionError("entry involution is not an anti-automorphism")
 
     lifted = LiftedInvolution(e, form)
-    zero = AlgMatrix.zero(e.algebra, e.dim)
+    zero = e.zero_matrix()
     for i, m in enumerate(e.rho):
         z = block2(zero, m, e.rho_bar_of(e.space.basis_vector(i)), zero)
         if lifted(z) != -z:
@@ -425,7 +437,7 @@ def standard_involution_restriction(e: Embedding, phi: PhiMap | None = None) -> 
     if phi is None:
         phi = build_phi(e)
     solver = SpanSolver([img.flatten() for img in phi.monomial_images], e.ring)
-    zero = AlgMatrix.zero(e.algebra, e.dim)
+    zero = e.zero_matrix()
     for a in algebra_basis(e.algebra, e.dim):
         diag = block2(a, zero, zero, a)
         coords = solver.solve(diag.flatten())

@@ -114,22 +114,6 @@ class QuadraticSpace:
         return f"QuadraticSpace(rank={self.rank}, ring={self.ring.name})"
 
 
-def evaluate_q(space: QuadraticSpace, x) -> Scalar:
-    return space.evaluate_q(x)
-
-
-def bilinear(space: QuadraticSpace, x, y) -> Scalar:
-    return space.bilinear(x, y)
-
-
-def is_nondegenerate(space: QuadraticSpace) -> bool:
-    return space.is_nondegenerate()
-
-
-def is_nonsingular(space: QuadraticSpace) -> bool:
-    return space.is_nonsingular()
-
-
 def hyperbolic(n: int, ring: Ring) -> QuadraticSpace:
     """Rank-2n space with basis (e_1..e_n, f_1..f_n) and q = sum e_i f_i."""
     if n < 1:

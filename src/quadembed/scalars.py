@@ -9,6 +9,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter, mul
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 class RingError(ValueError):
@@ -271,16 +276,6 @@ class Scalar:
         return f"{self} : {self.ring.name}"
 
 
-def is_unit(r: Scalar) -> bool:
-    """True iff `r` has a multiplicative inverse in its ring."""
-    return r.is_unit()
-
-
-def is_nonzerodivisor(r: Scalar) -> bool:
-    """True iff r*s = 0 forces s = 0 in the ring of `r`."""
-    return r.is_nonzerodivisor()
-
-
 def parse_scalar(text: str, ring: Ring) -> Scalar:
     """Inverse of str(): accepts "-7", "3/4" and "5 mod 6" style strings."""
     text = text.strip().replace("−", "-")
@@ -297,8 +292,18 @@ def parse_scalar(text: str, ring: Ring) -> Scalar:
 
 def _integer_row(scalars) -> tuple[list[int], int]:
     """(den * values, den) for the least den that clears every denominator."""
-    den = math.lcm(*(s.value.denominator for s in scalars))
-    return [s.value.numerator * (den // s.value.denominator) for s in scalars], den
+    values = [s.value for s in scalars]
+    den = math.lcm(*map(_denominator, values))
+    if den == 1:
+        return list(map(_numerator, values)), 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _raw_row(scalars, ring: Ring) -> tuple[list[int], int]:
+    """The values as integers over one denominator, which is 1 off Q."""
+    if ring is QQ:
+        return _integer_row(scalars)
+    return [s.value for s in scalars], 1
 
 
 class ScalarMatrix:
@@ -349,19 +354,39 @@ class ScalarMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+    @property
+    def dim(self) -> int:
+        """The size of a square matrix."""
+        if self.rows != self.cols:
+            raise ShapeError("matrix is not square")
+        return self.rows
 
-    def _check_same_shape(self, other):
+    def flatten(self) -> list[Scalar]:
+        """The entries in row-major order."""
+        return list(self.entries)
+
+    def is_zero(self) -> bool:
+        return not any(e.value for e in self.entries)
+
+    def blocks2(self):
+        """Split an even-dimensional square matrix into its four half-size blocks."""
+        h, odd = divmod(self.dim, 2)
+        if odd:
+            raise ShapeError("need an even dimension")
+        rows = [self.row(i) for i in range(self.rows)]
+        return tuple(
+            ScalarMatrix(h, h, [e for row in rows[r0 : r0 + h] for e in row[c0 : c0 + h]], self.ring)
+            for r0 in (0, h)
+            for c0 in (0, h)
+        )
+
+    def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch")
         if self.ring is not other.ring:
             raise RingError("ring mismatch")
-
-    def __add__(self, other):
-        self._check_same_shape(other)
         return ScalarMatrix(
             self.rows,
             self.cols,
@@ -370,18 +395,16 @@ class ScalarMatrix:
         )
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return ScalarMatrix(
-            self.rows,
-            self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-            self.ring,
-        )
+        return self + -other
 
     def __neg__(self):
         return ScalarMatrix(self.rows, self.cols, [-a for a in self.entries], self.ring)
 
     def __mul__(self, other):
+        """Integer dot products of the rows of A with the columns of B, each
+        row and column scaled to integers over one denominator; a row that is
+        at least half zero is dotted over its non-zero entries only.  Each
+        output entry is normalised once."""
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -389,14 +412,22 @@ class ScalarMatrix:
         if self.ring is not other.ring:
             raise RingError("ring mismatch")
         ring = self.ring
+        cols, dens = zip(*(_raw_row(other.col(j), ring) for j in range(other.cols)))
+        whole = not any(db - 1 for db in dens)  # every column integral
+        norm, zero = ring.normalize, ring.zero
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = ring.normalize(0)
-                for k in range(self.cols):
-                    acc = ring.add(acc, ring.mul(ri[k].value, other.entries[k * other.cols + j].value))
-                out.append(Scalar(acc, ring))
+            row, da = _raw_row(self.row(i), ring)
+            nz = [k for k, x in enumerate(row) if x]
+            if 2 * len(nz) <= len(row):
+                row = [row[k] for k in nz]
+                dots = [sum(map(mul, row, map(col.__getitem__, nz))) for col in cols]
+            else:
+                dots = [sum(map(mul, row, col)) for col in cols]
+            if whole and da == 1:
+                out += [Scalar(norm(d), ring) if d else zero for d in dots]
+            else:
+                out += [Scalar(Fraction(d, da * db), ring) if d else zero for d, db in zip(dots, dens)]
         return ScalarMatrix(self.rows, other.cols, out, ring)
 
     def scale(self, s: Scalar) -> "ScalarMatrix":
@@ -407,14 +438,7 @@ class ScalarMatrix:
         vec = list(vec)
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        ring = self.ring
-        out = []
-        for i in range(self.rows):
-            acc = ring.normalize(0)
-            for k in range(self.cols):
-                acc = ring.add(acc, ring.mul(self.entry(i, k).value, vec[k].value))
-            out.append(Scalar(acc, ring))
-        return out
+        return list((self * ScalarMatrix(self.cols, 1, vec, self.ring)).entries)
 
     def transpose(self) -> "ScalarMatrix":
         return ScalarMatrix(

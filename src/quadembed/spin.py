@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algmat import AlgMatrix, ScalarCoeffs, block2
+from .algmat import block2
 from .embedding import Embedding, build_phi, lift_involution, v_coordinates
 from .scalars import (
     QQ,
@@ -36,15 +36,15 @@ class NormUndefinedError(SpinError):
 class EvenPair:
     """Diagonal pair (g1, g2) standing for the block matrix diag(g1, g2)."""
 
-    g1: AlgMatrix
-    g2: AlgMatrix
+    g1: ScalarMatrix
+    g2: ScalarMatrix
 
 
 @dataclass(frozen=True)
 class GroupElement:
     """An algebra element with a checked invertibility certificate."""
 
-    matrix: AlgMatrix
+    matrix: ScalarMatrix
     det: Scalar
 
 
@@ -53,7 +53,7 @@ class SpinContext:
     for one embedding, so group membership tests stay cheap."""
 
     def __init__(self, e: Embedding):
-        if not isinstance(e.algebra, ScalarCoeffs):
+        if not e.scalar_entries:
             raise SpinError("spin machinery needs scalar matrix coefficients")
         if e.ring not in (ZZ, QQ):
             raise SpinError("spin machinery runs over Z or Q")
@@ -78,31 +78,33 @@ class SpinContext:
         ]
         self._even_solver = SpanSolver([m.flatten() for m in even_images], self.ring)
         self._scalar_solver = SpanSolver([e.identity_matrix().flatten()], self.ring)
+        self._zero = e.zero_matrix()
+        one = e.identity_matrix()
+        self._one2 = block2(one, self._zero, self._zero, one)
 
     # -- membership ---------------------------------------------------
 
-    def v_coords(self, m: AlgMatrix):
+    def v_coords(self, m: ScalarMatrix):
         return v_coordinates(self.embedding, m)
 
-    def is_scalar(self, m: AlgMatrix) -> bool:
+    def is_scalar(self, m: ScalarMatrix) -> bool:
         return self._scalar_solver.solve(m.flatten()) is not None
 
-    def diag(self, p: EvenPair) -> AlgMatrix:
-        zero = AlgMatrix.zero(self.embedding.algebra, self.embedding.dim)
-        return block2(p.g1, zero, zero, p.g2)
+    def diag(self, p: EvenPair) -> ScalarMatrix:
+        return block2(p.g1, self._zero, self._zero, p.g2)
 
     def in_even_image(self, p: EvenPair) -> bool:
         """Whether diag(g1, g2) lies in the image of the even part."""
         return self._even_solver.solve(self.diag(p).flatten()) is not None
 
-    def group_element(self, m: AlgMatrix) -> GroupElement:
-        det = m.to_scalar_matrix().determinant()
+    def group_element(self, m: ScalarMatrix) -> GroupElement:
+        det = m.determinant()
         if not det.is_unit():
             raise SpinError("matrix determinant is not a unit")
         return GroupElement(m, det)
 
     @staticmethod
-    def _matrix(g) -> AlgMatrix:
+    def _matrix(g) -> ScalarMatrix:
         return g.matrix if isinstance(g, GroupElement) else g
 
     # -- the norm-one groups -------------------------------------------
@@ -113,14 +115,13 @@ class SpinContext:
         if not self.in_even_image(p):
             return False
         x = self.diag(p)
-        one2 = AlgMatrix.identity(self.embedding.algebra, 2 * self.embedding.dim)
-        if x * self.lifted(x) != one2:
+        if x * self.lifted(x) != self._one2:
             return False
         one = self.embedding.identity_matrix()
         s1 = self.star(p.g1)
         return s1 * p.g2 == one and p.g2 * s1 == one
 
-    def bullet(self, g, v) -> AlgMatrix:
+    def bullet(self, g, v) -> ScalarMatrix:
         """The twisted conjugation action g . v = g rho(v) g-star."""
         m = self._matrix(g)
         return m * self.embedding.rho_of(v) * self.star(m)
@@ -128,7 +129,7 @@ class SpinContext:
     def is_in_g(self, g) -> bool:
         """Invertible and the action keeps every basis vector inside V."""
         m = self._matrix(g)
-        if not m.to_scalar_matrix().determinant().is_unit():
+        if not m.determinant().is_unit():
             return False
         for i in range(self.space.rank):
             w = self.bullet(m, self.space.basis_vector(i))
@@ -157,18 +158,12 @@ class SpinContext:
         return True
 
     def conjugation_coords(self, p: EvenPair, v) -> list[Scalar] | None:
-        """V-coordinates of x phi(v) x^{-1} for x = diag(p)."""
+        """V-coordinates of x phi(v) x^{-1} for x = diag(p); phi(v) is the
+        doubled block [[0, rho(v)], [rho(bar v), 0]], as in `build_phi`."""
         x = self.diag(p)
-        coords = self.space.coordinates(v)
-        total = None
-        for c, img in zip(coords, self.phi.images):
-            if c.is_zero:
-                continue
-            part = img.scale(c)
-            total = part if total is None else total + part
-        if total is None:
-            return [self.ring.zero] * self.space.rank
-        return self._phi_solver.solve((x * total * self.lifted(x)).flatten())
+        e = self.embedding
+        image = block2(self._zero, e.rho_of(v), e.rho_bar_of(v), self._zero)
+        return self._phi_solver.solve((x * image * self.lifted(x)).flatten())
 
     def chi(self, p: EvenPair) -> GroupElement:
         """Project a spin pair to its first component."""
@@ -183,12 +178,11 @@ class SpinContext:
             raise SpinError("element is not in the twisted-conjugation group")
         if self.norm_d(m) != self.ring.one:
             raise SpinError("element does not have norm one")
-        inv = self.star(m).to_scalar_matrix().inverse()
-        return EvenPair(m, AlgMatrix.from_scalar_matrix(inv))
+        return EvenPair(m, self.star(m).inverse())
 
     # -- samplers -------------------------------------------------------
 
-    def elementary(self, i: int, j: int, t) -> AlgMatrix:
+    def elementary(self, i: int, j: int, t) -> ScalarMatrix:
         """I + t E_ij inside the coefficient matrix algebra."""
         if i == j:
             raise ShapeError("off-diagonal indices required")
@@ -196,11 +190,11 @@ class SpinContext:
         m = [[self.ring(1 if a == b else 0) for b in range(self.embedding.dim)]
              for a in range(self.embedding.dim)]
         m[i][j] = t
-        return AlgMatrix.from_scalar_matrix(ScalarMatrix.from_rows(m))
+        return ScalarMatrix.from_rows(m)
 
-    def sample_elementary_product(self, rng: random.Random, max_factors: int = 6) -> AlgMatrix:
+    def sample_elementary_product(self, rng: random.Random, max_factors: int = 6) -> ScalarMatrix:
         dim = self.embedding.dim
-        out = AlgMatrix.identity(self.embedding.algebra, dim)
+        out = ScalarMatrix.identity(dim, self.ring)
         for _ in range(rng.randint(1, max_factors)):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
@@ -209,7 +203,7 @@ class SpinContext:
             out = out * self.elementary(i, j, rng.randint(-2, 2))
         return out
 
-    def sample_group_element(self, rng: random.Random, allow_scaling: bool = False) -> AlgMatrix:
+    def sample_group_element(self, rng: random.Random, allow_scaling: bool = False) -> ScalarMatrix:
         g = self.sample_elementary_product(rng)
         if allow_scaling and self.ring is QQ and rng.random() < 0.5:
             g = g.scale(self.ring(rng.choice([2, 3, 4])))
@@ -307,7 +301,7 @@ class SpinContext:
             gs = self.star(g)
             coords = self.v_coords(gs * g)
             if coords is None or self.space.evaluate_q(coords) != self.ring.one:
-                failures.append({"seed": skey, "witness": g.to_json()["entries"]})
+                failures.append({"seed": skey, "witness": g.to_json()})
         return LemmaReport("4.3", samples, failures)
 
     def _check_norm_product_rule(self, seed: int, samples: int) -> "LemmaReport":

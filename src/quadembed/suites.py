@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .algmat import AlgMatrix, ScalarCoeffs, parity_of_block_matrix
+from .algmat import AlgMatrix, parity_of_block_matrix
 from .clifford import (
     CliffordElement,
     check_graded_iso_sum,
@@ -60,7 +60,6 @@ class SuiteConfig:
     seed: int = 0
     samples: int = 100
     ring: Ring = ZZ
-    emit: str | None = None
 
 
 @dataclass
@@ -154,8 +153,8 @@ def _suslin_parity_law(cfg: SuiteConfig) -> CheckResult:
             failures.append({"n": n, "identity": "JJ^T"})
         for _ in range(cfg.samples):
             p = random_pair(rng, cfg.ring, n)
-            s = suslin(p).to_scalar_matrix()
-            target = suslin_bar(p).to_scalar_matrix() if j.bar_case else s
+            s = suslin(p)
+            target = suslin_bar(p) if j.bar_case else s
             if jr * s.transpose() * jr.transpose() != target:
                 failures.append({"n": n, "pair": [str(x) for x in p.v + p.w]})
     return _result("parity_law", failures, j=sizes)
@@ -420,12 +419,12 @@ def _embedding_lifted_involution(cfg: SuiteConfig) -> CheckResult:
         alg = bed.algebra
 
         def random_doubled():
-            if isinstance(alg, ScalarCoeffs):
+            if bed.scalar_entries:
                 rows = [
                     [ring(rng.randint(-3, 3)) for _ in range(dim2)]
                     for _ in range(dim2)
                 ]
-                return AlgMatrix.from_scalar_matrix(ScalarMatrix.from_rows(rows))
+                return ScalarMatrix.from_rows(rows)
             rows = [
                 [random_element(rng, alg.space, max_terms=2, bound=2) for _ in range(dim2)]
                 for _ in range(dim2)
@@ -483,10 +482,6 @@ def _embedding_bridge(cfg: SuiteConfig) -> CheckResult:
 # -- spin suite --------------------------------------------------------------
 
 
-def _spin_context(cfg: SuiteConfig) -> SpinContext:
-    return _spin_bed()
-
-
 @lru_cache(maxsize=None)
 def _spin_bed() -> SpinContext:
     # the registered rank-6 bed over Q; immutable, so sharing is safe
@@ -494,14 +489,14 @@ def _spin_bed() -> SpinContext:
 
 
 def _spin_lemmas(cfg: SuiteConfig) -> CheckResult:
-    ctx = _spin_context(cfg)
+    ctx = _spin_bed()
     reports = ctx.lemma_checks(cfg.seed, cfg.samples)
     failures = [r.to_json() for r in reports if not r.passed]
     return _result("lemmas", failures, reports=[r.to_json() for r in reports])
 
 
 def _spin_norm_multiplicative(cfg: SuiteConfig) -> CheckResult:
-    ctx = _spin_context(cfg)
+    ctx = _spin_bed()
     rng = _rng(cfg, "norm_multiplicative")
     failures = []
     for i in range(cfg.samples):
@@ -515,7 +510,7 @@ def _spin_norm_multiplicative(cfg: SuiteConfig) -> CheckResult:
 
 
 def _spin_elementary_family(cfg: SuiteConfig) -> CheckResult:
-    ctx = _spin_context(cfg)
+    ctx = _spin_bed()
     rng = _rng(cfg, "elementary_family")
     failures = []
     one = ctx.ring.one

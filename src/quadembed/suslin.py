@@ -6,14 +6,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .algmat import (
-    AlgMatrix,
-    CliffordCoeffs,
-    ScalarCoeffs,
-    block2,
-    lift_scalar_matrix,
-)
+from .algmat import AlgMatrix, CliffordCoeffs, block2, lift_scalar_matrix
 from .clifford import CliffordRelationError, extend_universal, monomial
 from .embedding import Embedding, InvolutionForm, PhiMap, build_phi
 from .qspace import QuadraticSpace, diagonal_space, hyperbolic, orthogonal_sum
@@ -85,16 +80,16 @@ def _recurse(v, w, ring):
     return s_rows, sbar_rows
 
 
-def suslin(p: SuslinPair) -> AlgMatrix:
+def suslin(p: SuslinPair) -> ScalarMatrix:
     """The recursive block matrix attached to the coordinate pair."""
     rows, _ = _recurse(p.v, p.w, p.ring)
-    return AlgMatrix(ScalarCoeffs(p.ring), rows)
+    return ScalarMatrix.from_rows(rows)
 
 
-def suslin_bar(p: SuslinPair) -> AlgMatrix:
+def suslin_bar(p: SuslinPair) -> ScalarMatrix:
     """The companion matrix; multiplying the two gives dot(v, w) times I."""
     _, rows = _recurse(p.v, p.w, p.ring)
-    return AlgMatrix(ScalarCoeffs(p.ring), rows)
+    return ScalarMatrix.from_rows(rows)
 
 
 def bar_pair(p: SuslinPair) -> SuslinPair:
@@ -133,7 +128,7 @@ def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
     s = suslin(p)
     sbar = suslin_bar(p)
     dot = p.dot()
-    expected = AlgMatrix.identity(ScalarCoeffs(p.ring), p.size).scale(dot)
+    expected = ScalarMatrix.identity(p.size, p.ring).scale(dot)
     failures = []
     left = s * sbar
     right = sbar * s
@@ -142,9 +137,9 @@ def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
         failures.append(
             {
                 "identity": "product",
-                "left": left.to_json()["entries"],
-                "right": right.to_json()["entries"],
-                "expected": expected.to_json()["entries"],
+                "left": left.to_json(),
+                "right": right.to_json(),
+                "expected": expected.to_json(),
             }
         )
     det_ok: bool | None
@@ -152,7 +147,7 @@ def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
         det_ok = None
     else:
         try:
-            det = s.to_scalar_matrix().determinant()
+            det = s.determinant()
         except RingError:
             det_ok = None
         else:
@@ -189,10 +184,10 @@ class JMatrix:
 
     def star_map(self, ring: Ring):
         """Entry involution M -> J M^T J^T on matrices over `ring`."""
-        j = AlgMatrix.from_scalar_matrix(self.as_ring(ring))
+        j = self.as_ring(ring)
         jt = j.transpose()
 
-        def star(m: AlgMatrix) -> AlgMatrix:
+        def star(m: ScalarMatrix) -> ScalarMatrix:
             return j * m.transpose() * jt
 
         return star
@@ -208,13 +203,15 @@ class JMatrix:
         }
 
 
+@lru_cache(maxsize=3)
 def derive_j(n: int) -> JMatrix:
     """Search the signed permutations of size 2**(n-1) for the conjugator.
 
     The defining identity is linear in the coordinate pair, so checking it
     on the 2n unit-vector pairs settles it for every pair.  Candidates are
     enumerated permutation-first, plus signs before minus; the first match
-    is returned, which keeps the result deterministic.
+    is returned, which keeps the result deterministic.  The result depends
+    on n alone, so each of the three searches runs once per process.
     """
     if not 1 <= n <= 3:
         raise ShapeError("exhaustive search supports sizes 1, 2 and 4 only")
@@ -228,8 +225,8 @@ def derive_j(n: int) -> JMatrix:
         unit_pairs.append(suslin_pair(ZZ, zero, coords))
     targets = []
     for p in unit_pairs:
-        s = suslin(p).to_scalar_matrix()
-        target = suslin_bar(p).to_scalar_matrix() if bar_case else s
+        s = suslin(p)
+        target = suslin_bar(p) if bar_case else s
         targets.append((s.transpose(), target))
 
     tried = 0
@@ -280,7 +277,7 @@ def suslin_embedding(n: int, ring: Ring) -> Embedding:
         involution = InvolutionForm(2 if j.bar_case else 1, ring.one)
     return Embedding(
         space,
-        ScalarCoeffs(ring),
+        ring,
         1 << (n - 1),
         rho,
         alpha,
@@ -322,7 +319,7 @@ def catalog_space(family: str, n: int, ring: Ring) -> QuadraticSpace:
     raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 
 
-def catalog_generators(family: str, n: int, ring: Ring) -> list[AlgMatrix]:
+def catalog_generators(family: str, n: int, ring: Ring) -> list:
     """Explicit Clifford generators for the three catalogued form families.
 
     Each call re-checks the generator relations against the family's form
@@ -335,7 +332,7 @@ def catalog_generators(family: str, n: int, ring: Ring) -> list[AlgMatrix]:
     half = 1 << (n - 1)
 
     if family == "hyperbolic2n":
-        algebra = ScalarCoeffs(ring)
+        algebra = ring
         lam = []
     elif family == "odd2n1":
         algebra = CliffordCoeffs(diagonal_space([-1], ring))
@@ -344,8 +341,8 @@ def catalog_generators(family: str, n: int, ring: Ring) -> list[AlgMatrix]:
         algebra = CliffordCoeffs(diagonal_space([-1, -1], ring))
         lam = [monomial(algebra.space, 1), monomial(algebra.space, 2)]
 
-    zero = AlgMatrix.zero(algebra, half)
-    eye = AlgMatrix.identity(algebra, half)
+    eye = lift_scalar_matrix(ScalarMatrix.identity(half, ring), algebra)
+    zero = eye.scale(ring.zero)
     gens = []
     for l in lam:
         diag = AlgMatrix(
@@ -364,12 +361,8 @@ def catalog_generators(family: str, n: int, ring: Ring) -> list[AlgMatrix]:
         unit = [1 if i == k else 0 for i in range(n)]
         unit_pairs.append(suslin_pair(ring, [0] * n, unit))
     for p in unit_pairs:
-        s = suslin(p).to_scalar_matrix()
-        sbar = suslin_bar(p).to_scalar_matrix()
-        if isinstance(algebra, ScalarCoeffs):
-            top, bottom = AlgMatrix.from_scalar_matrix(s), AlgMatrix.from_scalar_matrix(sbar)
-        else:
-            top, bottom = lift_scalar_matrix(s, algebra), lift_scalar_matrix(sbar, algebra)
+        top = lift_scalar_matrix(suslin(p), algebra)
+        bottom = lift_scalar_matrix(suslin_bar(p), algebra)
         gens.append(block2(zero, top, bottom, zero))
 
     one = block2(eye, zero, zero, eye)

@@ -10,9 +10,8 @@ import subprocess
 import sys
 import time
 
-from quadembed.algmat import AlgMatrix, generated_algebra_rank
+from quadembed.algmat import generated_algebra_rank
 from quadembed.clifford import (
-    CliffordElement,
     check_graded_iso_sum,
     cl_one,
     embed_vector,
@@ -30,7 +29,6 @@ from quadembed.embedding import (
     lift_involution,
 )
 from quadembed.qspace import (
-    QuadraticSpace,
     diagonal_space,
     find_isometry,
     hyperbolic,
@@ -39,6 +37,7 @@ from quadembed.qspace import (
 )
 from quadembed.scalars import QQ, ScalarMatrix, ZZ
 from quadembed.spin import SpinContext
+from quadembed.suites import random_element, random_pair, random_space
 from quadembed.suslin import (
     catalog_generators,
     check_suslin_identities,
@@ -47,7 +46,6 @@ from quadembed.suslin import (
     suslin,
     suslin_bar,
     suslin_embedding,
-    suslin_pair,
 )
 
 
@@ -56,35 +54,12 @@ def report(number: int, label: str, ok: bool):
     assert ok, f"criterion {number} failed: {label}"
 
 
-def rand_pair(rng, length):
-    return suslin_pair(
-        ZZ,
-        [rng.randint(-9, 9) for _ in range(length)],
-        [rng.randint(-9, 9) for _ in range(length)],
-    )
-
-
-def rand_space(rng, ring, rank, bound=3):
-    rows = [
-        [ring(rng.randint(-bound, bound)) if j >= i else ring(0) for j in range(rank)]
-        for i in range(rank)
-    ]
-    return QuadraticSpace(ScalarMatrix.from_rows(rows))
-
-
-def rand_element(rng, space, max_terms=4, bound=4):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        terms[rng.randrange(1 << space.rank)] = space.ring(rng.randint(-bound, bound))
-    return CliffordElement(space, terms)
-
-
 def test_criterion_01_suslin_identities():
     rng = random.Random(101)
     ok = True
     for n in (1, 2, 3, 4):
         for _ in range(200):
-            p = rand_pair(rng, n + 1)
+            p = random_pair(rng, ZZ, n + 1)
             rep = check_suslin_identities(p)
             ok = ok and rep.product_ok
             if n <= 3:
@@ -102,9 +77,9 @@ def test_criterion_02_j_derivation():
         eye = ScalarMatrix.identity(j.size, ZZ)
         ok = ok and j.matrix * j.matrix.transpose() == eye
         for _ in range(200):
-            p = rand_pair(rng, j.n)
-            s = suslin(p).to_scalar_matrix()
-            target = suslin_bar(p).to_scalar_matrix() if j.bar_case else s
+            p = random_pair(rng, ZZ, j.n)
+            s = suslin(p)
+            target = suslin_bar(p) if j.bar_case else s
             ok = ok and j.matrix * s.transpose() * j.matrix.transpose() == target
     report(2, f"signed-permutation conjugators (search {elapsed:.2f}s)", ok)
 
@@ -120,14 +95,14 @@ def test_criterion_04_clifford_core():
     spaces = [
         diagonal_space([-1], ZZ),
         hyperbolic(1, ZZ),
-        rand_space(rng, ZZ, 3),
-        rand_space(rng, ZZ, 4),
-        rand_space(rng, ZZ, 5),
+        random_space(rng, ZZ, 3),
+        random_space(rng, ZZ, 4),
+        random_space(rng, ZZ, 5),
     ]
     ok = True
     for i in range(1000):
         space = spaces[i % len(spaces)]
-        a, b, c = (rand_element(rng, space) for _ in range(3))
+        a, b, c = (random_element(rng, space) for _ in range(3))
         ok = ok and (a * b) * c == a * (b * c)
     for i in range(200):
         space = spaces[i % len(spaces)]
@@ -137,7 +112,7 @@ def test_criterion_04_clifford_core():
         ok = ok and eu * ev + ev * eu == cl_one(space).scale(space.bilinear(u, v))
     for i in range(200):
         space = spaces[i % len(spaces)]
-        a, b = rand_element(rng, space), rand_element(rng, space)
+        a, b = random_element(rng, space), random_element(rng, space)
         sa, sb = standard_involution(a), standard_involution(b)
         ok = ok and standard_involution(a * b) == sb * sa
         ok = ok and standard_involution(sa) == a
@@ -162,11 +137,11 @@ def test_criterion_06_split_form_matrix_algebra():
         images = []
         for i in range(doubled.rank):
             col = [t.entry(r, i) for r in range(target.rank)]
-            total = AlgMatrix.zero(gens_h[0].algebra, gens_h[0].dim)
+            total = ScalarMatrix.zero(gens_h[0].dim, gens_h[0].dim, QQ)
             for c, g in zip(col, gens_h):
                 total = total + g.scale(c)
             images.append(total)
-        one = AlgMatrix.identity(gens_h[0].algebra, gens_h[0].dim)
+        one = ScalarMatrix.identity(gens_h[0].dim, QQ)
         extend_universal(doubled, images, one)  # raises if the transport broke
         ok = ok and generated_algebra_rank(images) == 4 ** n
     report(6, "doubled forms generate the full matrix algebra", ok)
@@ -208,11 +183,11 @@ def test_criterion_08_involution_lifting():
             rows = [
                 [ZZ(rng.randint(-3, 3)) for _ in range(dim2)] for _ in range(dim2)
             ]
-            m = AlgMatrix.from_scalar_matrix(ScalarMatrix.from_rows(rows))
+            m = ScalarMatrix.from_rows(rows)
             rows = [
                 [ZZ(rng.randint(-3, 3)) for _ in range(dim2)] for _ in range(dim2)
             ]
-            n2 = AlgMatrix.from_scalar_matrix(ScalarMatrix.from_rows(rows))
+            n2 = ScalarMatrix.from_rows(rows)
             ok = ok and star(star(m)) == m
             ok = ok and star(m * n2) == star(n2) * star(m)
     try:

@@ -1,5 +1,6 @@
 """The command-line surface: flag grammar, JSON output, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,6 +128,23 @@ def test_verify_emit_file(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text() == out
+
+
+def test_verify_report_digests_are_pinned(capsys):
+    """The whole report of a fixed configuration, byte for byte, against the
+    digest recorded before the scalar matrix types were merged: a change to
+    any check, sampler, solver or number format moves it."""
+    want = {
+        None: "ed2157bb7056a47bfe64e133b1b16d058234feb85752d07735dff41713998897",
+        "q": "dcc9271e33faf8128d0bacd2aa65aefd123af6c0f9365278fdc63eeccad449ae",
+    }
+    for ring, digest in want.items():
+        argv = ["verify", "--suite", "all", "--samples", "3", "--seed", "0"]
+        if ring is not None:
+            argv += ["--ring", ring]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_determinism_in_process(capsys):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from quadembed.algmat import AlgMatrix, parity_of_block_matrix
+from quadembed.algmat import parity_of_block_matrix
 from quadembed.clifford import CliffordElement, standard_involution
 from quadembed.embedding import (
     ClosureError,
@@ -69,7 +69,7 @@ def test_validate_rejects_zero_alpha():
 def test_build_phi_generator_squares():
     e = suslin_embedding(2, ZZ)
     phi = build_phi(e)
-    one = AlgMatrix.identity(e.algebra, 2 * e.dim)
+    one = ScalarMatrix.identity(2 * e.dim, ZZ)
     for i, img in enumerate(phi.images):
         assert img * img == one.scale(e.space.q_generator(i))
 
@@ -140,9 +140,7 @@ def test_jordan_closure_error_on_broken_embedding():
     e = suslin_embedding(2, ZZ)
     # swap one basis image for a matrix outside the proper span
     bad_rho = list(e.rho)
-    bad_rho[0] = AlgMatrix.from_scalar_matrix(
-        ScalarMatrix.of_ints(ZZ, [[0, 1], [0, 0]])
-    )
+    bad_rho[0] = ScalarMatrix.of_ints(ZZ, [[0, 1], [0, 0]])
     broken = Embedding(e.space, e.algebra, e.dim, bad_rho, e.alpha)
     with pytest.raises(ClosureError):
         jordan_product(broken, [1, 1, 1, 1], [1, 2, 3, 4])
@@ -211,9 +209,9 @@ def test_lift_involution_properties_on_samples():
         dim2 = 2 * bed.dim
         for _ in range(200):
             rows = [[ZZ(rng.randint(-3, 3)) for _ in range(dim2)] for _ in range(dim2)]
-            m = AlgMatrix.from_scalar_matrix(ScalarMatrix.from_rows(rows))
+            m = ScalarMatrix.from_rows(rows)
             rows = [[ZZ(rng.randint(-3, 3)) for _ in range(dim2)] for _ in range(dim2)]
-            n2 = AlgMatrix.from_scalar_matrix(ScalarMatrix.from_rows(rows))
+            n2 = ScalarMatrix.from_rows(rows)
             assert star(star(m)) == m
             assert star(m * n2) == star(n2) * star(m)
 

@@ -17,8 +17,6 @@ from quadembed.scalars import (
     SpanSolver,
     ZZ,
     Zmod,
-    is_nonzerodivisor,
-    is_unit,
     parse_scalar,
     rank_over_fractions,
     solve_in_ring,
@@ -30,15 +28,15 @@ def ints(ring, values):
 
 
 def test_is_unit_examples():
-    assert is_unit(ZZ(1))
-    assert is_unit(Zmod(6)(5))
-    assert not is_unit(ZZ(2))
+    assert ZZ(1).is_unit()
+    assert Zmod(6)(5).is_unit()
+    assert not ZZ(2).is_unit()
 
 
 def test_is_nonzerodivisor_examples():
-    assert is_nonzerodivisor(ZZ(3))
-    assert not is_nonzerodivisor(Zmod(6)(2))
-    assert not is_nonzerodivisor(QQ(0))
+    assert ZZ(3).is_nonzerodivisor()
+    assert not Zmod(6)(2).is_nonzerodivisor()
+    assert not QQ(0).is_nonzerodivisor()
 
 
 def test_unit_implies_nonzerodivisor():
@@ -47,8 +45,8 @@ def test_unit_implies_nonzerodivisor():
     for m in (2, 4, 6, 7, 12):
         candidates += [Zmod(m)(v) for v in range(m)]
     for r in candidates:
-        if is_unit(r):
-            assert is_nonzerodivisor(r)
+        if r.is_unit():
+            assert r.is_nonzerodivisor()
 
 
 def test_scalar_strings_round_trip():

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from quadembed.algmat import AlgMatrix
 from quadembed.scalars import QQ, ScalarMatrix, ZZ
 from quadembed.spin import EvenPair, SpinContext, SpinError
 from quadembed.suslin import suslin_embedding
@@ -21,7 +20,7 @@ def ctx_z():
 
 
 def int_mat(ring, rows):
-    return AlgMatrix.from_scalar_matrix(ScalarMatrix.of_ints(ring, rows))
+    return ScalarMatrix.of_ints(ring, rows)
 
 
 def test_context_requires_form_one():
@@ -49,8 +48,8 @@ def test_u0_accepts_inverse_star_pairs():
     rng = random.Random(0)
     for _ in range(25):
         g = ctx.sample_elementary_product(rng)
-        ginv_star = ctx.star(g).to_scalar_matrix().inverse()
-        p = EvenPair(g, AlgMatrix.from_scalar_matrix(ginv_star))
+        ginv_star = ctx.star(g).inverse()
+        p = EvenPair(g, ginv_star)
         assert ctx.is_in_u0(p)
 
 
@@ -83,7 +82,7 @@ def test_bullet_elementary_frozen_value():
 
     ctx = ctx_q()
     got = ctx.bullet(int_mat(QQ, g), [1, 0, 0, 0, 0, 0])
-    assert [[e.value for e in row] for row in got.entries] == [
+    assert [[e.value for e in row] for row in map(got.row, range(got.rows))] == [
         [Fraction(v) for v in row] for row in expected
     ]
     assert ctx.v_coords(got) == [QQ(1), QQ(0), QQ(0), QQ(0), QQ(0), QQ(0)]

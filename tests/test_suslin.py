@@ -1,12 +1,14 @@
 """The doubling recursion, its identities, the conjugator search, the
 hyperbolic matrix realisation, and the generator catalog."""
 
+import itertools
 import random
 import time
+import types
 
 import pytest
 
-from quadembed.algmat import AlgMatrix, ScalarCoeffs, block2
+from quadembed.algmat import AlgMatrix, block2, entry_algebra, lift_scalar_matrix
 from quadembed.clifford import extend_universal, monomial
 from quadembed.embedding import build_phi
 from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ, Zmod, rank_over_fractions
@@ -34,13 +36,13 @@ def rand_pair(rng, ring, length, bound=9):
 
 def test_base_case_matrices():
     p = suslin_pair(ZZ, [1, 2], [3, 4])
-    assert suslin(p).to_scalar_matrix() == ScalarMatrix.of_ints(ZZ, [[1, 2], [-4, 3]])
-    assert suslin_bar(p).to_scalar_matrix() == ScalarMatrix.of_ints(ZZ, [[3, -2], [4, 1]])
+    assert suslin(p) == ScalarMatrix.of_ints(ZZ, [[1, 2], [-4, 3]])
+    assert suslin_bar(p) == ScalarMatrix.of_ints(ZZ, [[3, -2], [4, 1]])
 
 
 def test_unit_pair_gives_identity():
     p = suslin_pair(ZZ, [1, 0, 0], [1, 0, 0])
-    assert suslin(p) == AlgMatrix.identity(ScalarCoeffs(ZZ), 4)
+    assert suslin(p) == ScalarMatrix.identity(4, ZZ)
 
 
 def test_linearity():
@@ -65,8 +67,8 @@ def test_identity_report_example():
     assert report.dot == ZZ(11)
     s, sbar = suslin(p), suslin_bar(p)
     prod = s * sbar
-    assert prod == AlgMatrix.identity(ScalarCoeffs(ZZ), 2).scale(ZZ(11))
-    assert s.to_scalar_matrix().determinant() == ZZ(11)
+    assert prod == ScalarMatrix.identity(2, ZZ).scale(ZZ(11))
+    assert s.determinant() == ZZ(11)
 
 
 def test_orthogonal_pair_has_zero_determinant():
@@ -75,7 +77,7 @@ def test_orthogonal_pair_has_zero_determinant():
         other = [0] * n + [1]
         p = suslin_pair(ZZ, coords, other)
         assert p.dot() == ZZ(0)
-        assert suslin(p).to_scalar_matrix().determinant() == ZZ(0)
+        assert suslin(p).determinant() == ZZ(0)
 
 
 def test_identities_random_large():
@@ -121,9 +123,9 @@ def test_derive_j_size_two():
     rng = random.Random(4)
     for _ in range(200):
         p = rand_pair(rng, ZZ, 2)
-        s = suslin(p).to_scalar_matrix()
+        s = suslin(p)
         jm = j.matrix
-        assert jm * s.transpose() * jm.transpose() == suslin_bar(p).to_scalar_matrix()
+        assert jm * s.transpose() * jm.transpose() == suslin_bar(p)
 
 
 def test_derive_j_size_four():
@@ -139,13 +141,43 @@ def test_derive_j_size_four():
     rng = random.Random(5)
     for _ in range(200):
         p = rand_pair(rng, ZZ, 3)
-        s = suslin(p).to_scalar_matrix()
+        s = suslin(p)
         assert jm * s.transpose() * jm.transpose() == s
 
 
 def test_derive_j_out_of_range():
     with pytest.raises(ShapeError):
         derive_j(4)
+
+
+def test_derive_j_searches_once_per_n(monkeypatch):
+    assert derive_j(3) is derive_j(3)
+    derive_j.cache_clear()
+    searches = []
+    permutations = itertools.permutations
+
+    def counted(*args):
+        searches.append(args)
+        return permutations(*args)
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    suslin_embedding(3, QQ)
+    suslin_embedding(3, QQ)
+    assert len(searches) == 1
+    assert derive_j(3).candidates_tried <= 384
+
+
+def test_package_does_not_shadow_the_suslin_module():
+    import quadembed
+    import quadembed.suslin as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.suslin is suslin
+    submodules = {
+        "scalars", "qspace", "clifford", "algmat", "embedding", "suslin", "spin", "suites", "cli"
+    }
+    assert not submodules & set(quadembed.__all__)
+    assert all(hasattr(quadembed, name) for name in quadembed.__all__)
 
 
 def test_j_involution_fixes_basis_images():
@@ -259,7 +291,7 @@ def test_catalog_monomial_independence_counts():
     ):
         gens = catalog_generators(family, n, QQ)
         space = catalog_space(family, n, QQ)
-        one = AlgMatrix.identity(gens[0].algebra, gens[0].dim)
+        one = lift_scalar_matrix(ScalarMatrix.identity(gens[0].dim, QQ), entry_algebra(gens[0]))
         phi = extend_universal(space, gens, one)
         rows = [phi.image_of_mask(m).flatten() for m in range(1 << space.rank)]
         assert rank_over_fractions(ScalarMatrix.from_rows(rows)) == count
@@ -269,7 +301,7 @@ def test_catalog_relation_failure_reported():
     # feed deliberately inconsistent generators through the same validation
     gens = catalog_generators("hyperbolic2n", 1, ZZ)
     space = catalog_space("hyperbolic2n", 1, ZZ)
-    one = AlgMatrix.identity(gens[0].algebra, gens[0].dim)
+    one = ScalarMatrix.identity(gens[0].dim, ZZ)
     from quadembed.clifford import CliffordRelationError
 
     with pytest.raises(CliffordRelationError):
