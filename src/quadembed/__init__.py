@@ -27,7 +27,6 @@ from .clifford import (
     extend_universal,
     grade_component,
     grade_involution,
-    graded_tensor,
     is_homogeneous,
     pbw_basis,
     standard_involution,
@@ -74,8 +73,8 @@ __all__ = [
     "orthogonal_sum",
     # clifford
     "CliffordElement", "CliffordRelationError", "check_graded_iso_sum", "embed_vector",
-    "extend_universal", "grade_component", "grade_involution", "graded_tensor",
-    "is_homogeneous", "pbw_basis", "standard_involution",
+    "extend_universal", "grade_component", "grade_involution", "is_homogeneous",
+    "pbw_basis", "standard_involution",
     # algmat
     "AlgMatrix", "CliffordCoeffs", "block2", "generated_algebra_rank",
     "parity_of_block_matrix", "span_coords",

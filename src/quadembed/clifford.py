@@ -8,8 +8,6 @@ generator relations, which works uniformly for non-orthogonal forms.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .qspace import QuadraticSpace, orthogonal_sum
 from .scalars import (
     QQ,
@@ -118,55 +116,54 @@ def _bump(acc: dict, mask: int, c: Scalar):
     acc[mask] = c if cur is None else cur + c
 
 
-@lru_cache(maxsize=None)
-def _gen_product(space: QuadraticSpace, i: int, mask: int):
-    """e_i times the ordered monomial e_mask, as ((mask, coeff), ...)."""
-    one = space.ring.one
-    if mask == 0:
-        return ((1 << i, one),)
-    low = mask & -mask
-    j = low.bit_length() - 1
-    if i < j:
-        return ((mask | (1 << i), one),)
-    rest = mask ^ low
-    if i == j:
-        q = space.q_generator(i)
-        return ((rest, q),) if not q.is_zero else ()
-    # i > j: move e_i past e_j using e_i e_j = <e_i, e_j> - e_j e_i
-    acc: dict = {}
-    pairing = space.bilinear_generators(i, j)
-    if not pairing.is_zero:
-        _bump(acc, rest, pairing)
-    for m, c in _gen_product(space, i, rest):
-        _bump(acc, m | low, -c)
-    return tuple(sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
 def _mono_product(space: QuadraticSpace, m1: int, m2: int):
-    """Product of two ordered monomials, as ((mask, coeff), ...)."""
-    if m1 == 0:
-        return ((m2, space.ring.one),)
-    low = m1 & -m1
-    i = low.bit_length() - 1
+    """Product of two ordered monomials, as ((mask, coeff), ...), kept in
+    the space's product table under (m1, m2)."""
+    out = space.products.get((m1, m2))
+    if out is not None:
+        return out
+    low, low2 = m1 & -m1, m2 & -m2
     acc: dict = {}
-    for m, c in _mono_product(space, m1 ^ low, m2):
-        for m3, c3 in _gen_product(space, i, m):
-            _bump(acc, m3, c * c3)
-    return tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
+    if m2 == 0 or m1 < low2:
+        # already ordered: every generator of m1 precedes those of m2
+        acc[m1 | m2] = space.ring.one
+    elif m1 != low:
+        # e_m1 = e_i e_rest, e_i the lowest generator of m1
+        for m, c in _mono_product(space, m1 ^ low, m2):
+            for m3, c3 in _mono_product(space, low, m):
+                _bump(acc, m3, c * c3)
+    else:
+        # e_i times e_m2, whose lowest generator e_j has j <= i
+        i, j, rest = low.bit_length() - 1, low2.bit_length() - 1, m2 ^ low2
+        if i == j:
+            acc[rest] = space.q_generator(i)
+        else:
+            # move e_i past e_j using e_i e_j = <e_i, e_j> - e_j e_i
+            _bump(acc, rest, space.bilinear_generators(i, j))
+            for m, c in _mono_product(space, low, rest):
+                _bump(acc, m | low2, -c)
+    out = space.products[m1, m2] = tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _mono_reversed(space: QuadraticSpace, mask: int):
-    """Product of the generators of `mask` in decreasing index order."""
+def _mono_involution(space: QuadraticSpace, mask: int):
+    """The standard involution of e_mask: its generators in decreasing index
+    order, times (-1)^grade; kept in the space's product table under the
+    mask alone."""
+    out = space.products.get(mask)
+    if out is not None:
+        return out
     if mask == 0:
-        return ((0, space.ring.one),)
-    low = mask & -mask
-    acc: dict = {}
-    for m, c in _mono_reversed(space, mask ^ low):
-        for m3, c3 in _mono_product(space, m, low):
-            _bump(acc, m3, c * c3)
-    return tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
+        out = ((0, space.ring.one),)
+    else:
+        low = mask & -mask
+        acc: dict = {}
+        for m, c in _mono_involution(space, mask ^ low):
+            for m3, c3 in _mono_product(space, m, low):
+                _bump(acc, m3, -(c * c3))
+        out = tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
+    space.products[mask] = out
+    return out
 
 
 def cl_zero(space: QuadraticSpace) -> CliffordElement:
@@ -223,9 +220,8 @@ def standard_involution(a: CliffordElement) -> CliffordElement:
     """
     acc: dict = {}
     for mask, c in a.terms.items():
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        for m, c2 in _mono_reversed(a.space, mask):
-            _bump(acc, m, c * c2 if sign > 0 else -(c * c2))
+        for m, c2 in _mono_involution(a.space, mask):
+            _bump(acc, m, c * c2)
     return CliffordElement(a.space, acc)
 
 
@@ -398,10 +394,6 @@ class GradedTensorAlgebra:
 
     def right(self, b: CliffordElement) -> GradedTensorElement:
         return self.pure(cl_one(self.left_space), b)
-
-
-def graded_tensor(s1: QuadraticSpace, s2: QuadraticSpace) -> GradedTensorAlgebra:
-    return GradedTensorAlgebra(s1, s2)
 
 
 def check_graded_iso_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> bool:

@@ -138,7 +138,9 @@ class Embedding:
         return lift_scalar_matrix(ScalarMatrix.identity(self.dim, self.ring), self.algebra)
 
     def zero_matrix(self):
-        return self.identity_matrix().scale(self.ring.zero)
+        if self.scalar_entries:
+            return ScalarMatrix.zero(self.dim, self.dim, self.ring)
+        return AlgMatrix.zero(self.algebra, self.dim)
 
     def bar_coords(self, coords) -> list[Scalar]:
         return self.alpha.apply(self.space.coordinates(coords))
@@ -146,11 +148,11 @@ class Embedding:
     def rho_of(self, coords):
         """Image of the vector with the given coordinates."""
         coords = self.space.coordinates(coords)
-        total = self.zero_matrix()
+        total = None
         for c, m in zip(coords, self.rho):
             if not c.is_zero:
-                total = total + m.scale(c)
-        return total
+                total = m.scale(c) if total is None else total + m.scale(c)
+        return total if total is not None else self.zero_matrix()
 
     def rho_bar_of(self, coords):
         return self.rho_of(self.bar_coords(coords))
@@ -241,11 +243,6 @@ def validate_embedding(e: Embedding) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
-def v_coordinates(e: Embedding, m) -> list[Scalar] | None:
-    """Coordinates of a matrix inside the embedded copy of V, or None."""
-    return e.v_span.solve(m.flatten())
-
-
 class PhiMap:
     """The induced algebra map into doubled block matrices over A."""
 
@@ -311,12 +308,12 @@ def jordan_product(e: Embedding, v, w) -> list[Scalar]:
     w = e.space.coordinates(w)
     mv = e.rho_of(v)
     mw = e.rho_of(w)
-    coords = v_coordinates(e, mv * mw * mv)
+    coords = e.v_span.solve((mv * mw * mv).flatten())
     if coords is None:
         raise ClosureError("triple product left the embedded space")
     mvb = e.rho_bar_of(v)
     mwb = e.rho_bar_of(w)
-    bar_coords = v_coordinates(e, mvb * mwb * mvb)
+    bar_coords = e.v_span.solve((mvb * mwb * mvb).flatten())
     if bar_coords is None or bar_coords != e.bar_coords(coords):
         raise ClosureError("bar map does not intertwine the triple product")
     return coords
@@ -333,7 +330,7 @@ def check_alpha_order_two(e: Embedding) -> bool | None:
     squared = e.alpha * e.alpha == ScalarMatrix.identity(e.space.rank, e.ring)
     if squared:
         return True
-    one_coords = v_coordinates(e, e.identity_matrix())
+    one_coords = e.v_span.solve(e.identity_matrix().flatten())
     if one_coords is None or e.bar_coords(one_coords) != one_coords:
         return None
     return False

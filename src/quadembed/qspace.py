@@ -23,9 +23,12 @@ class QuadraticSpace:
     q(x) = sum over i <= j of Q[i][j] * x_i * x_j.  Storing Q rather than
     the symmetric bilinear matrix keeps the form faithful over rings where
     2 is not invertible.
+
+    The form never changes, so the space hashes it once and owns `products`,
+    the table of Clifford monomial products that `clifford` fills.
     """
 
-    __slots__ = ("rank", "qmatrix")
+    __slots__ = ("rank", "qmatrix", "_hash", "products")
 
     def __init__(self, qmatrix: ScalarMatrix):
         if qmatrix.rows != qmatrix.cols:
@@ -38,6 +41,8 @@ class QuadraticSpace:
                     raise ShapeError("form matrix must be upper triangular")
         self.rank = qmatrix.rows
         self.qmatrix = qmatrix
+        self._hash = hash(qmatrix)
+        self.products = {}
 
     @property
     def ring(self) -> Ring:
@@ -97,10 +102,10 @@ class QuadraticSpace:
     def __eq__(self, other):
         if not isinstance(other, QuadraticSpace):
             return NotImplemented
-        return self.qmatrix == other.qmatrix
+        return self is other or (self._hash == other._hash and self.qmatrix == other.qmatrix)
 
     def __hash__(self):
-        return hash(self.qmatrix)
+        return self._hash
 
     def to_json(self):
         return {"rank": self.rank, "ring": self.ring.name, "q": self.qmatrix.to_json()}

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .algmat import block2
-from .embedding import Embedding, build_phi, lift_involution, v_coordinates
+from .embedding import Embedding, build_phi, lift_involution
 from .scalars import (
     QQ,
     Scalar,
@@ -65,7 +65,7 @@ class SpinContext:
         self.star = e.a_star
         self.phi = build_phi(e)
         self.lifted = lift_involution(e)
-        self.one_coords = v_coordinates(e, e.identity_matrix())
+        self.one_coords = e.v_span.solve(e.identity_matrix().flatten())
         if self.one_coords is None or e.bar_coords(self.one_coords) != self.one_coords:
             raise SpinError("the algebra unit must sit bar-fixed inside V")
         self._phi_solver = SpanSolver(
@@ -85,7 +85,7 @@ class SpinContext:
     # -- membership ---------------------------------------------------
 
     def v_coords(self, m: ScalarMatrix):
-        return v_coordinates(self.embedding, m)
+        return self.embedding.v_span.solve(m.flatten())
 
     def is_scalar(self, m: ScalarMatrix) -> bool:
         return self._scalar_solver.solve(m.flatten()) is not None

@@ -13,11 +13,11 @@ from functools import lru_cache
 from .algmat import AlgMatrix, parity_of_block_matrix
 from .clifford import (
     CliffordElement,
+    GradedTensorAlgebra,
     check_graded_iso_sum,
     cl_one,
     embed_vector,
     grade_involution,
-    graded_tensor,
     is_homogeneous,
     pbw_basis,
     standard_involution,
@@ -287,7 +287,7 @@ def _clifford_tensor_assoc(cfg: SuiteConfig) -> CheckResult:
     failures = []
     for i in range(cfg.samples):
         s1, s2 = pairs[i % len(pairs)]
-        alg = graded_tensor(s1, s2)
+        alg = GradedTensorAlgebra(s1, s2)
         elems = [
             alg.pure(random_homogeneous(rng, s1), random_homogeneous(rng, s2))
             for _ in range(3)

@@ -183,12 +183,19 @@ class JMatrix:
         )
 
     def star_map(self, ring: Ring):
-        """Entry involution M -> J M^T J^T on matrices over `ring`."""
-        j = self.as_ring(ring)
-        jt = j.transpose()
+        """Entry involution M -> J M^T J^T on matrices over `ring`.  With
+        J[i][p(i)] = s_i it only moves and signs entries:
+        star(M)[i][j] = s_i s_j M[p(j)][p(i)]."""
+        n = self.size
+        # J has one non-zero entry per row, so these come in row order
+        p, s = zip(*((k % n, e.value) for k, e in enumerate(self.matrix.entries) if e.value))
+        plan = [(p[j] * n + p[i], s[i] != s[j]) for i in range(n) for j in range(n)]
 
         def star(m: ScalarMatrix) -> ScalarMatrix:
-            return j * m.transpose() * jt
+            if (m.rows, m.cols) != (n, n):
+                raise ShapeError(f"expected a {n}x{n} matrix")
+            e = m.entries
+            return ScalarMatrix(n, n, [-e[k] if flip else e[k] for k, flip in plan], ring)
 
         return star
 

@@ -9,7 +9,9 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import quadembed
 from quadembed.algmat import generated_algebra_rank
 from quadembed.clifford import (
     check_graded_iso_sum,
@@ -47,6 +49,9 @@ from quadembed.suslin import (
     suslin_bar,
     suslin_embedding,
 )
+
+# a child interpreter started here finds the package the tests import
+PACKAGE_ROOT = Path(quadembed.__file__).parent.parent
 
 
 def report(number: int, label: str, ok: bool):
@@ -246,8 +251,8 @@ def test_criterion_12_cli_determinism():
         "--samples",
         "100",
     ]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, cwd=PACKAGE_ROOT)
+    second = subprocess.run(cmd, capture_output=True, cwd=PACKAGE_ROOT)
     ok = first.returncode == 0 and second.returncode == 0
     ok = ok and first.stdout == second.stdout and len(first.stdout) > 0
     ok = ok and json.loads(first.stdout)["passed"] is True

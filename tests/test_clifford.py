@@ -2,19 +2,20 @@
 graded tensor product."""
 
 import random
+import sys
 
 import pytest
 
 from quadembed.clifford import (
     CliffordElement,
     CliffordRelationError,
+    GradedTensorAlgebra,
     check_graded_iso_sum,
     cl_one,
     embed_vector,
     extend_universal,
     grade_component,
     grade_involution,
-    graded_tensor,
     is_homogeneous,
     monomial,
     pbw_basis,
@@ -241,7 +242,7 @@ def test_extend_universal_rejects_bad_images():
 
 def test_graded_tensor_sign_rule():
     neg = diagonal_space([-1], ZZ)
-    alg = graded_tensor(neg, neg)
+    alg = GradedTensorAlgebra(neg, neg)
     lam = monomial(neg, 1)
     left, right = alg.left(lam), alg.right(lam)
     assert right * left == -alg.pure(lam, lam)
@@ -253,7 +254,7 @@ def test_graded_tensor_sign_rule():
 def test_graded_tensor_parity_and_assoc():
     rng = random.Random(7)
     s1, s2 = hyperbolic(1, ZZ), diagonal_space([1], ZZ)
-    alg = graded_tensor(s1, s2)
+    alg = GradedTensorAlgebra(s1, s2)
     for _ in range(200):
         elems = []
         for _ in range(3):
@@ -287,3 +288,26 @@ def test_element_json_round_trip():
 
     terms = {t["mask"]: parse_scalar(t["coeff"], space.ring) for t in data["terms"]}
     assert CliffordElement(space, terms) == a
+
+
+def test_products_leave_no_reference_to_the_space():
+    # the product table lives on the space, so multiplying and reversing
+    # keep nothing elsewhere that would hold the space alive
+    for space in (diagonal_space([1, -2, 3], ZZ), hyperbolic(2, ZZ)):
+        a = CliffordElement(space, {m: ZZ(m + 1) for m in range(1 << space.rank)})
+        before = sys.getrefcount(space)
+        a * a
+        standard_involution(a)
+        assert sys.getrefcount(space) == before
+        assert space.products
+
+
+def test_equal_spaces_built_apart_hash_and_multiply_alike():
+    s1, s2 = hyperbolic(2, ZZ), hyperbolic(2, ZZ)
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert s1 != hyperbolic(2, QQ) and s1 != diagonal_space([1, 1, 1, 1], ZZ)
+    a1 = CliffordElement(s1, {m: ZZ(m - 7) for m in range(16)})
+    a2 = CliffordElement(s2, {m: ZZ(m - 7) for m in range(16)})
+    assert a1 * a1 == a2 * a2 and hash(a1 * a1) == hash(a2 * a2)
+    assert standard_involution(a1) == standard_involution(a2)
+    assert s1.products is not s2.products

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from quadembed.clifford import (
     CliffordElement,
+    GradedTensorAlgebra,
     cl_one,
     embed_vector,
     grade_involution,
-    graded_tensor,
     monomial,
     standard_involution,
 )
@@ -95,7 +95,7 @@ def test_polarised_generator_relation(data):
 def tensor_pairs(draw):
     s1 = draw(spaces(max_rank=2))
     s2 = draw(spaces(max_rank=2))
-    alg = graded_tensor(s1, s2)
+    alg = GradedTensorAlgebra(s1, s2)
 
     def homog():
         m1 = draw(st.integers(0, (1 << s1.rank) - 1))

@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,25 @@ def test_j_involution_bars_basis_images_in_even_rank():
     star = e.a_star
     for i, m in enumerate(e.rho):
         assert star(m) == e.rho_bar_of(e.space.basis_vector(i))
+
+
+def test_star_map_equals_the_matrix_conjugation():
+    # the star permutes and signs entries; J M^T J^T is its definition
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        j = derive_j(n)
+        for ring in (ZZ, QQ, Zmod(6)):
+            jr = j.as_ring(ring)
+            star = j.star_map(ring)
+            top = 5 if ring is QQ else 1
+            for _ in range(10):
+                m = ScalarMatrix.of_ints(ring, [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, top)) for _ in range(j.size)]
+                    for _ in range(j.size)
+                ])
+                assert star(m) == jr * m.transpose() * jr.transpose()
+            with pytest.raises(ShapeError):
+                star(ScalarMatrix.identity(j.size + 1, ring))
 
 
 def test_embedding_rejected_for_rank_two():
