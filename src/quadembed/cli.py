@@ -12,7 +12,7 @@ import sys
 from .algmat import matrix_json
 from .clifford import CliffordElement
 from .qspace import QuadraticSpace, diagonal_space, hyperbolic
-from .scalars import QQ, Ring, RingError, ShapeError, ZZ, Zmod, parse_scalar
+from .scalars import QQ, Ring, RingError, ShapeError, ZZ, Zmod, json_field, parse_scalar
 from .suites import SUITES, run_suites
 from .suslin import (
     FAMILIES,
@@ -52,14 +52,12 @@ def _parse_space(text: str, ring: Ring) -> QuadraticSpace:
 
 
 def _parse_element(text: str, space: QuadraticSpace) -> CliffordElement:
+    terms = {}
     if text.startswith("{"):
-        data = json.loads(text)
-        terms = {
-            int(t["mask"]): parse_scalar(t["coeff"], space.ring)
-            for t in data["terms"]
-        }
+        for t in json_field(json.loads(text), "terms", list, "element JSON"):
+            mask = int(json_field(t, "mask", (int, str), "element term"))
+            terms[mask] = parse_scalar(json_field(t, "coeff", str, "element term"), space.ring)
     else:
-        terms = {}
         for chunk in text.split(","):
             mask, coeff = chunk.split(":")
             terms[int(mask)] = parse_scalar(coeff, space.ring)

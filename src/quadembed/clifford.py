@@ -1,12 +1,14 @@
-"""Clifford algebras with a monomial basis and straightening multiplication.
+"""Clifford algebras with a monomial basis and Chevalley's generator action.
 
 Elements are finitely supported maps from basis masks to scalars.  A mask is
 a bit pattern over the generator indices; mask 0 is the unit and the grade
-of a monomial is its popcount.  Multiplication rewrites products through the
-generator relations, which works uniformly for non-orthogonal forms.
+of a monomial is its popcount.  Every product is a fold of one closed form,
+a generator times an ordered monomial, valid for non-orthogonal forms.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .qspace import QuadraticSpace, orthogonal_sum
 from .scalars import (
@@ -16,6 +18,7 @@ from .scalars import (
     ScalarMatrix,
     ShapeError,
     ZZ,
+    raw_row,
     rank_over_fractions,
 )
 
@@ -63,13 +66,16 @@ class CliffordElement:
         if not isinstance(other, CliffordElement):
             return NotImplemented
         self._check(other)
+        ring = self.space.ring
+        # over Q, both factors become integers over one denominator each
+        va, da = raw_row(self.terms.values(), ring)
+        vb, db = raw_row(other.terms.values(), ring)
+        raw = dict(zip(other.terms, vb))
         acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for m3, c3 in _mono_product(self.space, m1, m2):
-                    _bump(acc, m3, c * c3)
-        return CliffordElement(self.space, acc)
+        for m1, v1 in zip(self.terms, va):
+            for m, v in _left_multiply(self.space, raw, _generators(m1)).items():
+                _bump(acc, m, v1 * v)
+        return CliffordElement(self.space, _boxed(ring, acc, da * db))
 
     def __eq__(self, other):
         if not isinstance(other, CliffordElement):
@@ -100,70 +106,69 @@ class CliffordElement:
         }
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-
-        def mono(m):
-            if m == 0:
-                return "1"
-            return "".join(f"e{i + 1}" for i in range(self.space.rank) if m >> i & 1)
-
-        return " + ".join(f"({c})*{mono(m)}" for m, c in sorted(self.terms.items()))
+        parts = (
+            f"({c})*" + ("".join(f"e{i + 1}" for i in _generators(m)) or "1")
+            for m, c in sorted(self.terms.items())
+        )
+        return " + ".join(parts) or "0"
 
 
-def _bump(acc: dict, mask: int, c: Scalar):
-    cur = acc.get(mask)
-    acc[mask] = c if cur is None else cur + c
+def _bump(acc: dict, key, c):
+    cur = acc.get(key)
+    acc[key] = c if cur is None else cur + c
 
 
-def _mono_product(space: QuadraticSpace, m1: int, m2: int):
-    """Product of two ordered monomials, as ((mask, coeff), ...), kept in
-    the space's product table under (m1, m2)."""
-    out = space.products.get((m1, m2))
-    if out is not None:
-        return out
-    low, low2 = m1 & -m1, m2 & -m2
-    acc: dict = {}
-    if m2 == 0 or m1 < low2:
-        # already ordered: every generator of m1 precedes those of m2
-        acc[m1 | m2] = space.ring.one
-    elif m1 != low:
-        # e_m1 = e_i e_rest, e_i the lowest generator of m1
-        for m, c in _mono_product(space, m1 ^ low, m2):
-            for m3, c3 in _mono_product(space, low, m):
-                _bump(acc, m3, c * c3)
-    else:
-        # e_i times e_m2, whose lowest generator e_j has j <= i
-        i, j, rest = low.bit_length() - 1, low2.bit_length() - 1, m2 ^ low2
-        if i == j:
-            acc[rest] = space.q_generator(i)
-        else:
-            # move e_i past e_j using e_i e_j = <e_i, e_j> - e_j e_i
-            _bump(acc, rest, space.bilinear_generators(i, j))
-            for m, c in _mono_product(space, low, rest):
-                _bump(acc, m | low2, -c)
-    out = space.products[m1, m2] = tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
-    return out
+def _gen_action(space: QuadraticSpace, i: int, mask: int):
+    """e_i times the ordered monomial e_mask, as raw (mask, value) pairs.
+
+    Chevalley's action x.w = x ^ w + i_b(x) w (Chevalley 1954), for the
+    triangular form b with b_ii = q(e_i), b_ij = <e_i, e_j> for j < i and
+    0 for j > i, under which ordered monomials are wedges:
+
+        e_i e_m = [i not in m] (-1)^#{j in m : j < i} e_(m + i)
+                + sum over j in m, j <= i, of (-1)^#{k in m : k < j} b_ij e_(m - j)
+
+    No 1/2 enters, so it is exact over Z and Z/m.  Integral values are ints,
+    also over Q, so the fold runs on ints for integral forms.
+    """
+    q, n = space.qmatrix.entries, space.rank
+    out = []
+    sign, rest = 1, mask
+    while rest and rest & -rest <= 1 << i:
+        low = rest & -rest
+        b = q[(low.bit_length() - 1) * n + i].value
+        if b:
+            out.append((mask ^ low, (b.numerator if b.denominator == 1 else b) * sign))
+        sign, rest = -sign, rest ^ low
+    if not mask >> i & 1:
+        out.append((mask | 1 << i, sign))  # sign is now (-1)^#{j in m : j < i}
+    return tuple(out)
 
 
-def _mono_involution(space: QuadraticSpace, mask: int):
-    """The standard involution of e_mask: its generators in decreasing index
-    order, times (-1)^grade; kept in the space's product table under the
-    mask alone."""
-    out = space.products.get(mask)
-    if out is not None:
-        return out
-    if mask == 0:
-        out = ((0, space.ring.one),)
-    else:
-        low = mask & -mask
+def _generators(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _left_multiply(space: QuadraticSpace, terms: dict, gens) -> dict:
+    """e_g1 e_g2 ... e_gk times the raw terms {mask: value}, applying the
+    last generator first.  The space keeps each generator action it uses
+    under (i, mask), at most rank * 2^rank of them."""
+    table = space.products
+    for i in reversed(gens):
         acc: dict = {}
-        for m, c in _mono_involution(space, mask ^ low):
-            for m3, c3 in _mono_product(space, m, low):
-                _bump(acc, m3, -(c * c3))
-        out = tuple(sorted((m, c) for m, c in acc.items() if not c.is_zero))
-    space.products[mask] = out
-    return out
+        for m, v in terms.items():
+            action = table.get((i, m))
+            if action is None:
+                action = table[i, m] = _gen_action(space, i, m)
+            for m2, c in action:
+                acc[m2] = acc.get(m2, 0) + v * c
+        terms = acc
+    return terms
+
+
+def _boxed(ring, raw: dict, den: int = 1) -> dict:
+    """Each raw value over `den`, boxed once."""
+    return {m: ring(v if den == 1 else Fraction(v, den)) for m, v in raw.items() if v}
 
 
 def cl_zero(space: QuadraticSpace) -> CliffordElement:
@@ -191,38 +196,31 @@ def embed_vector(space: QuadraticSpace, x) -> CliffordElement:
 
 
 def grade_involution(a: CliffordElement) -> CliffordElement:
-    return CliffordElement(
-        a.space,
-        {m: (-c if bin(m).count("1") % 2 else c) for m, c in a.terms.items()},
-    )
+    terms = {m: (-c if bin(m).count("1") % 2 else c) for m, c in a.terms.items()}
+    return CliffordElement(a.space, terms)
 
 
 def grade_component(a: CliffordElement, k: int) -> CliffordElement:
-    return CliffordElement(
-        a.space, {m: c for m, c in a.terms.items() if bin(m).count("1") == k}
-    )
+    return CliffordElement(a.space, {m: c for m, c in a.terms.items() if bin(m).count("1") == k})
 
 
 def is_homogeneous(a: CliffordElement) -> int | None:
     """Parity (0 or 1) when all terms share one grade mod 2, else None."""
     parities = {bin(m).count("1") % 2 for m in a.terms}
-    if len(parities) == 1:
-        return parities.pop()
-    return None
+    return parities.pop() if len(parities) == 1 else None
 
 
 def standard_involution(a: CliffordElement) -> CliffordElement:
-    """The anti-automorphism extending v -> -v on vectors.
-
-    Each monomial is re-multiplied with its generators reversed and scaled
-    by (-1)^grade; a closed-form sign would only be valid for orthogonal
-    bases, which the forms here need not have.
-    """
+    """The anti-automorphism extending v -> -v on vectors: each monomial's
+    generators multiplied in reverse order, times (-1)^grade."""
+    vals, den = raw_row(a.terms.values(), a.space.ring)
     acc: dict = {}
-    for mask, c in a.terms.items():
-        for m, c2 in _mono_involution(a.space, mask):
-            _bump(acc, m, c * c2)
-    return CliffordElement(a.space, acc)
+    for mask, v in zip(a.terms, vals):
+        gens = _generators(mask)
+        start = {0: -v if len(gens) % 2 else v}
+        for m, w in _left_multiply(a.space, start, gens[::-1]).items():
+            _bump(acc, m, w)
+    return CliffordElement(a.space, _boxed(a.space.ring, acc, den))
 
 
 def pbw_basis(space: QuadraticSpace) -> list[CliffordElement]:
@@ -242,13 +240,11 @@ class UniversalMap:
         self._mask_images = {0: one}
 
     def image_of_mask(self, mask: int):
-        cached = self._mask_images.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        i = low.bit_length() - 1
-        value = self.images[i] * self.image_of_mask(mask ^ low)
-        self._mask_images[mask] = value
+        value = self._mask_images.get(mask)
+        if value is None:
+            low = mask & -mask
+            value = self.images[low.bit_length() - 1] * self.image_of_mask(mask ^ low)
+            self._mask_images[mask] = value
         return value
 
     def __call__(self, a: CliffordElement):
@@ -279,9 +275,7 @@ def extend_universal(space: QuadraticSpace, images, one) -> UniversalMap:
             want = one.scale(space.bilinear_generators(i, j))
             got = images[i] * images[j] + images[j] * images[i]
             if got != want:
-                raise CliffordRelationError(
-                    i, j, f"images {i},{j} violate the polarised relation"
-                )
+                raise CliffordRelationError(i, j, f"images {i},{j} violate the polarised relation")
     return UniversalMap(space, images, one)
 
 
@@ -319,18 +313,20 @@ class GradedTensorElement:
             return NotImplemented
         self._check(other)
         s1, s2 = self.algebra.left_space, self.algebra.right_space
+        va, da = raw_row(self.terms.values(), self.algebra.ring)
+        vb, db = raw_row(other.terms.values(), self.algebra.ring)
         acc: dict = {}
-        for (a1, b1), c in self.terms.items():
-            db = bin(b1).count("1")
-            for (a2, b2), c2 in other.terms.items():
-                sign = -1 if (db * bin(a2).count("1")) % 2 else 1
-                coeff = c * c2
-                if sign < 0:
+        for (a1, b1), v1 in zip(self.terms, va):
+            ga, gb, deg = _generators(a1), _generators(b1), bin(b1).count("1")
+            for (a2, b2), v2 in zip(other.terms, vb):
+                coeff = v1 * v2
+                if deg * bin(a2).count("1") % 2:
                     coeff = -coeff
-                for ma, ca in _mono_product(s1, a1, a2):
-                    for mb, cb in _mono_product(s2, b1, b2):
+                right = _left_multiply(s2, {b2: 1}, gb)
+                for ma, ca in _left_multiply(s1, {a2: 1}, ga).items():
+                    for mb, cb in right.items():
                         _bump(acc, (ma, mb), coeff * ca * cb)
-        return GradedTensorElement(self.algebra, acc)
+        return GradedTensorElement(self.algebra, _boxed(self.algebra.ring, acc, da * db))
 
     def __eq__(self, other):
         if not isinstance(other, GradedTensorElement):
@@ -345,10 +341,8 @@ class GradedTensorElement:
         return ps.pop() if len(ps) == 1 else None
 
     def flatten(self) -> list[Scalar]:
-        n2 = self.algebra.right_space.rank
-        zero = self.algebra.ring.zero
-        size = 1 << (self.algebra.left_space.rank + n2)
-        out = [zero] * size
+        n1, n2 = self.algebra.left_space.rank, self.algebra.right_space.rank
+        out = [self.algebra.ring.zero] * (1 << (n1 + n2))
         for (a, b), c in self.terms.items():
             out[(a << n2) | b] = c
         return out
@@ -370,10 +364,7 @@ class GradedTensorAlgebra:
     def __eq__(self, other):
         if not isinstance(other, GradedTensorAlgebra):
             return NotImplemented
-        return (
-            self.left_space == other.left_space
-            and self.right_space == other.right_space
-        )
+        return self.left_space == other.left_space and self.right_space == other.right_space
 
     def __hash__(self):
         return hash((self.left_space, self.right_space))
@@ -383,11 +374,9 @@ class GradedTensorAlgebra:
 
     def pure(self, a: CliffordElement, b: CliffordElement) -> GradedTensorElement:
         """The decomposable element a (x) b; bilinear in both slots."""
-        acc: dict = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                _bump(acc, (m1, m2), c1 * c2)
-        return GradedTensorElement(self, acc)
+        return GradedTensorElement(
+            self, {(m1, m2): c1 * c2 for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()}
+        )
 
     def left(self, a: CliffordElement) -> GradedTensorElement:
         return self.pure(a, cl_one(self.right_space))
@@ -409,15 +398,8 @@ def check_graded_iso_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> bool:
         raise RingError("independence check needs Z or Q coefficients")
     total = orthogonal_sum(s1, s2)
     alg = GradedTensorAlgebra(s1, s2)
-    images = []
-    for i in range(total.rank):
-        if i < s1.rank:
-            images.append(alg.left(monomial(s1, 1 << i)))
-        else:
-            images.append(alg.right(monomial(s2, 1 << (i - s1.rank))))
+    images = [alg.left(monomial(s1, 1 << i)) for i in range(s1.rank)]
+    images += [alg.right(monomial(s2, 1 << i)) for i in range(s2.rank)]
     phi = extend_universal(total, images, alg.one())
-    rows = []
-    for mask in range(1 << total.rank):
-        rows.append(phi.image_of_mask(mask).flatten())
-    matrix = ScalarMatrix.from_rows(rows)
-    return rank_over_fractions(matrix) == 1 << total.rank
+    rows = [phi.image_of_mask(mask).flatten() for mask in range(1 << total.rank)]
+    return rank_over_fractions(ScalarMatrix.from_rows(rows)) == 1 << total.rank

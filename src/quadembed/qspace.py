@@ -12,6 +12,7 @@ from .scalars import (
     ScalarMatrix,
     ShapeError,
     ZZ,
+    json_field,
     ring_from_name,
 )
 
@@ -25,7 +26,8 @@ class QuadraticSpace:
     2 is not invertible.
 
     The form never changes, so the space hashes it once and owns `products`,
-    the table of Clifford monomial products that `clifford` fills.
+    the Clifford generator actions e_i e_mask that `clifford` keeps under
+    (i, mask): at most rank * 2^rank entries.
     """
 
     __slots__ = ("rank", "qmatrix", "_hash", "products")
@@ -112,11 +114,16 @@ class QuadraticSpace:
 
     @classmethod
     def from_json(cls, data) -> "QuadraticSpace":
-        ring = ring_from_name(data["ring"])
-        return cls(ScalarMatrix.from_json(data["q"], ring))
+        ring = ring_from_name(json_field(data, "ring", str, "space JSON"))
+        return cls(ScalarMatrix.from_json(json_field(data, "q", list, "space JSON"), ring))
 
     def __repr__(self):
         return f"QuadraticSpace(rank={self.rank}, ring={self.ring.name})"
+
+
+def random_vector(rng, space: QuadraticSpace, bound: int = 4) -> list[Scalar]:
+    """Coordinates drawn uniformly from [-bound, bound], one per generator."""
+    return [space.ring(rng.randint(-bound, bound)) for _ in range(space.rank)]
 
 
 def hyperbolic(n: int, ring: Ring) -> QuadraticSpace:

@@ -205,6 +205,17 @@ def ring_from_name(name: str) -> Ring:
     raise RingError(f"unknown ring {name!r}")
 
 
+def json_field(data, key: str, kind, owner: str):
+    """data[key] of a parsed JSON object, or a ValueError naming the field
+    when `data` is not an object or the field is missing or not a `kind`."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if value is None:
+        raise ValueError(f"{owner} has no field {key!r}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{owner} field {key!r} has the wrong type")
+    return value
+
+
 class Scalar:
     """An exact element of one of the supported rings."""
 
@@ -278,6 +289,8 @@ class Scalar:
 
 def parse_scalar(text: str, ring: Ring) -> Scalar:
     """Inverse of str(): accepts "-7", "3/4" and "5 mod 6" style strings."""
+    if not isinstance(text, str):
+        raise RingError(f"scalar {text!r} is not a string")
     text = text.strip().replace("−", "-")
     if isinstance(ring, ModularRing):
         head = text.split("mod")[0].strip() if "mod" in text else text
@@ -299,7 +312,7 @@ def _integer_row(scalars) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _raw_row(scalars, ring: Ring) -> tuple[list[int], int]:
+def raw_row(scalars, ring: Ring) -> tuple[list[int], int]:
     """The values as integers over one denominator, which is 1 off Q."""
     if ring is QQ:
         return _integer_row(scalars)
@@ -412,12 +425,12 @@ class ScalarMatrix:
         if self.ring is not other.ring:
             raise RingError("ring mismatch")
         ring = self.ring
-        cols, dens = zip(*(_raw_row(other.col(j), ring) for j in range(other.cols)))
+        cols, dens = zip(*(raw_row(other.col(j), ring) for j in range(other.cols)))
         whole = not any(db - 1 for db in dens)  # every column integral
         norm, zero = ring.normalize, ring.zero
         out = []
         for i in range(self.rows):
-            row, da = _raw_row(self.row(i), ring)
+            row, da = raw_row(self.row(i), ring)
             nz = [k for k, x in enumerate(row) if x]
             if 2 * len(nz) <= len(row):
                 row = [row[k] for k in nz]
@@ -502,6 +515,8 @@ class ScalarMatrix:
 
     @classmethod
     def from_json(cls, data, ring: Ring) -> "ScalarMatrix":
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ShapeError("a matrix is a JSON list of rows")
         return cls.from_rows([[parse_scalar(v, ring) for v in row] for row in data])
 
     def __repr__(self):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .algmat import block2
 from .embedding import Embedding, build_phi, lift_involution
+from .qspace import random_vector
 from .scalars import (
     QQ,
     Scalar,
@@ -209,9 +210,6 @@ class SpinContext:
             g = g.scale(self.ring(rng.choice([2, 3, 4])))
         return g
 
-    def random_vector(self, rng: random.Random, bound: int = 4) -> list[Scalar]:
-        return [self.ring(rng.randint(-bound, bound)) for _ in range(self.space.rank)]
-
     def random_norm_one_vector(self, rng: random.Random) -> list[Scalar]:
         """A vector with q = 1: either a coordinate permutation of the unit
         of V, or a sampled pair with a unimodular slot."""
@@ -254,7 +252,7 @@ class SpinContext:
             skey = self._sample_seed(seed, "4.1", i)
             rng = random.Random(skey)
             while True:
-                v = self.random_vector(rng)
+                v = random_vector(rng, self.space)
                 rows = ScalarMatrix.from_rows([self.one_coords, v])
                 if rank_over_fractions(rows) == 2:
                     break
@@ -278,7 +276,7 @@ class SpinContext:
         for i in range(samples):
             skey = self._sample_seed(seed, "4.2", i)
             rng = random.Random(skey)
-            v1 = self.random_vector(rng)
+            v1 = random_vector(rng, self.space)
             v2 = self.random_norm_one_vector(rng)
             m2 = e.rho_of(v2)
             target = e.rho_bar_of(v1) + m2 * e.rho_of(v1) * m2
@@ -311,7 +309,7 @@ class SpinContext:
             skey = self._sample_seed(seed, "4.4", i)
             rng = random.Random(skey)
             g = self.sample_group_element(rng, allow_scaling=True)
-            v = self.random_vector(rng)
+            v = random_vector(rng, self.space)
             d = self.norm_d(g)
             coords = self.v_coords(self.bullet(g, v))
             if coords is None:

@@ -34,7 +34,7 @@ from .embedding import (
     standard_involution_restriction,
     validate_embedding,
 )
-from .qspace import QuadraticSpace, diagonal_space, hyperbolic
+from .qspace import QuadraticSpace, diagonal_space, hyperbolic, random_vector
 from .scalars import QQ, Ring, ScalarMatrix, SpanSolver, ZZ
 from .spin import SpinContext
 from .suslin import (
@@ -119,10 +119,6 @@ def random_homogeneous(rng, space, parity=None, max_terms=3, bound=4) -> Cliffor
     for _ in range(rng.randint(1, max_terms)):
         terms[rng.choice(masks)] = space.ring(rng.randint(-bound, bound))
     return CliffordElement(space, terms)
-
-
-def random_vector(rng, space, bound=4):
-    return [space.ring(rng.randint(-bound, bound)) for _ in range(space.rank)]
 
 
 # -- suslin suite ------------------------------------------------------------
@@ -528,7 +524,7 @@ def _spin_elementary_family(cfg: SuiteConfig) -> CheckResult:
             continue
         if ctx.chi(pair).matrix != g:
             failures.append({"index": i, "identity": "roundtrip"})
-        v = ctx.random_vector(rng)
+        v = random_vector(rng, ctx.space)
         coords = ctx.conjugation_coords(pair, v)
         if coords is None or ctx.space.evaluate_q(coords) != ctx.space.evaluate_q(v):
             failures.append({"index": i, "identity": "isometry"})

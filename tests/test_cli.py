@@ -12,6 +12,11 @@ from quadembed.cli import main
 # a child interpreter started here finds the package the tests import
 PACKAGE_ROOT = Path(quadembed.__file__).parent.parent
 
+# a general (non-diagonal) rank-3 form over Z
+GENERAL_RANK3 = json.dumps(
+    {"ring": "Z", "q": [["1", "2", "-1"], ["0", "-3", "1"], ["0", "0", "2"]]}
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -105,6 +110,26 @@ def test_bad_input_exits_2_with_one_line(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # malformed JSON names the field at fault
+    for argv, field in (
+        (("--space", "{}", "--a", "1:1"), "'ring'"),
+        (("--space", '{"ring": "Z"}', "--a", "1:1"), "'q'"),
+        (("--space", '{"ring": "Z", "q": 5}', "--a", "1:1"), "'q'"),
+        (("--space", '{"ring": 5, "q": [["1"]]}', "--a", "1:1"), "'ring'"),
+        (("--space", "hyp:1", "--a", "{}"), "'terms'"),
+        (("--space", "hyp:1", "--a", '{"terms": [{"coeff": "1"}]}'), "'mask'"),
+        (("--space", "hyp:1", "--a", '{"terms": [{"mask": 1}]}'), "'coeff'"),
+        (("--space", "hyp:1", "--a", '{"terms": [{"mask": 1, "coeff": 1}]}'), "'coeff'"),
+    ):
+        code, out, err = run_cli(capsys, "clifford", "mul", *argv, "--b", "1:1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "field " + field in err, (argv, err)
+    # and a scalar that is not a string is refused, not a traceback
+    space = '{"ring": "Z", "q": [[1]]}'
+    code, out, err = run_cli(capsys, "clifford", "mul", "--space", space, "--a", "1:1", "--b", "1:1")
+    assert code == 2 and out == "" and err.count("\n") == 1
 
 
 def test_verify_single_suite(capsys):
@@ -152,6 +177,49 @@ def test_verify_report_digests_are_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_output_digests_are_pinned(capsys):
+    """The other fast CLI outputs, byte for byte, against digests recorded
+    before the Clifford product became a fold of generator actions."""
+    want = [
+        (("suslin", "--v", "1,2", "--w", "3,4", "--bar", "--check"),
+         "61247dd38e3ef7033e076d4e83e72368c524cd9198bf07275f50129515ce643f"),
+        (("catalog", "--family", "hyperbolic2n", "--n", "1"),
+         "708adfe9f6fb4d58e7d08998f65997997b4be56c1d6b048f010c0066c6fd9496"),
+        (("catalog", "--family", "hyperbolic2n", "--n", "2"),
+         "4d655f5f464278863411829bd29f63c80c7ae6369150bacd982090c52493da39"),
+        (("catalog", "--family", "odd2n1", "--n", "1"),
+         "e521a2c4e8fe2d9114f8a90598d07051b8a1e5d6353ef2598d91edb5d287b92e"),
+        (("catalog", "--family", "odd2n1", "--n", "2"),
+         "c0bb3219fede6a74da5a10d50bf1ef8655e4e8a38b22fb3a18280d5f85eb8fe4"),
+        (("catalog", "--family", "even2n2", "--n", "1"),
+         "dd5d7c520ae7d5952fe545707e146f861bb2ddb8424dfeff62791dc7f9c754b8"),
+        (("catalog", "--family", "even2n2", "--n", "2"),
+         "81996c466e9d07e930d3a05b0f613539bb1dd182c5a18e0d804ce51f034d06d1"),
+        (("derive-j", "--n", "1"),
+         "5e1dc3399155ae5f20379bcedc6b90c6545c52b065761434ac841d4d0cb93001"),
+        (("derive-j", "--n", "2"),
+         "e8ab3c9a46f848f69ee219335c2bc06f4ebe50f1dc8c0be3b8b89a350b81c689"),
+        (("derive-j", "--n", "3"),
+         "325ad1c4361a27395c1600980535b0ba65adcc4c9d3e015859d7d290e9b8a8ea"),
+        (("iso", "--n", "2"),
+         "7e6278e997858258575cccbaa5a410b7934b0f85640e15fb2914a3f50f040dd7"),
+        (("clifford", "mul", "--space", "hyp:1", "--a", "2:1", "--b", "1:1"),
+         "b62e334d0757b4c96d251924f7abcc2b897de34d0692dc9c048357d3aca50d06"),
+        (("clifford", "mul", "--space", GENERAL_RANK3, "--a", "7:2,3:1,5:-1", "--b", "6:1,7:3,1:2"),
+         "879645b27542a5c0f609c1cf31e0e4a8139e61f20f57fe0ae8c29d4fdace67eb"),
+        (("clifford", "mul", "--space", "diag:1,-2,3", "--ring", "zmod:6",
+         "--a", "7:2,3:1,5:-1", "--b", "6:1,7:3,1:2"),
+         "3d37a1d5ec450d94fc0fa3362e822f3f599720a79c69bec0842177dc9fb9449b"),
+        (("clifford", "mul", "--space", "hyp:2", "--ring", "q",
+         "--a", "15:1/2,3:1,5:-1,8:2/5", "--b", "6:1/3,9:3,1:2,4:-3/4"),
+         "8f991e869beece3b08ce1559bee6f9532f0de68b9f7d8e5749adaf0013f0b5d3"),
+    ]
+    for argv, digest in want:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_verify_determinism_in_process(capsys):

@@ -3,6 +3,7 @@ graded tensor product."""
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from quadembed.clifford import (
     standard_involution,
 )
 from quadembed.qspace import QuadraticSpace, diagonal_space, hyperbolic
-from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ
+from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ, Zmod
 
 
 def rand_space(rng, ring, rank, bound=3):
@@ -92,14 +93,25 @@ def mask_word(mask):
 
 def test_monomial_products_match_word_oracle():
     rng = random.Random(0)
-    spaces = [hyperbolic(1, ZZ), rand_space(rng, ZZ, 3)]
+    spaces = [hyperbolic(1, ZZ), rand_space(rng, ZZ, 3), rand_space(rng, ZZ, 4)]
+    spaces.append(rand_space(rng, Zmod(6), 3))
+    # over Q with non-integral entries
+    spaces.append(QuadraticSpace(ScalarMatrix.from_rows(
+        [[QQ(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) if j >= i else QQ(0)
+          for j in range(3)] for i in range(3)]
+    )))
     for space in spaces:
         n = space.rank
         for m1 in range(1 << n):
             for m2 in range(1 << n):
                 got = monomial(space, m1) * monomial(space, m2)
                 want = word_multiply(space, mask_word(m1), mask_word(m2))
-                assert got.terms == want, (m1, m2)
+                assert got.terms == want, (space, m1, m2)
+            # the involution reverses the word and scales by (-1)^grade
+            sign = space.ring(-1 if bin(m1).count("1") % 2 else 1)
+            want = word_multiply(space, mask_word(m1)[::-1], ())
+            got = standard_involution(monomial(space, m1))
+            assert got.terms == {m: sign * c for m, c in want.items()}, (space, m1)
 
 
 def test_embed_vector_examples():
@@ -300,6 +312,16 @@ def test_products_leave_no_reference_to_the_space():
         standard_involution(a)
         assert sys.getrefcount(space) == before
         assert space.products
+
+
+def test_product_table_stays_bounded():
+    # the space keeps generator actions, one per (generator, mask), never
+    # products of monomial pairs: a full square in rank 8 would fill 4^8
+    rows = [[ZZ((i + 2 * j) % 5 - 2) if j >= i else ZZ(0) for j in range(8)] for i in range(8)]
+    space = QuadraticSpace(ScalarMatrix.from_rows(rows))
+    a = CliffordElement(space, {m: ZZ(m % 7 - 3) for m in range(1 << 8)})
+    a * a
+    assert len(space.products) <= 8 * 2**8
 
 
 def test_equal_spaces_built_apart_hash_and_multiply_alike():
