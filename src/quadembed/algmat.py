@@ -9,6 +9,7 @@ matrices are `AlgMatrix`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .clifford import cl_one, cl_scalar, cl_zero, pbw_basis
@@ -72,7 +73,7 @@ class AlgMatrix:
         """`m` itself, after checking it is square.  Scalar entries live in
         `ScalarMatrix`; this stays only for the benchmark's workloads
         (bench/workloads.py), which still call it."""
-        if not m.is_square():
+        if m.rows != m.cols:
             raise ShapeError("matrix must be square")
         return m
 
@@ -182,12 +183,6 @@ class AlgMatrix:
         return f"AlgMatrix(dim={self.dim}, algebra=clifford)"
 
 
-def entry_algebra(m):
-    """The coefficient algebra of a matrix: the ring of a ScalarMatrix, the
-    CliffordCoeffs of an AlgMatrix."""
-    return m.ring if isinstance(m, ScalarMatrix) else m.algebra
-
-
 def matrix_json(m) -> dict:
     """A square matrix as JSON: its dimension, coefficient algebra and entries."""
     if isinstance(m, ScalarMatrix):
@@ -203,11 +198,18 @@ def block2(a, b, c, d):
     for m in (a, b, c, d):
         if m.dim != dim:
             raise ShapeError("blocks must share one dimension")
-        if entry_algebra(m) != entry_algebra(a):
+        if m.algebra != a.algebra:
             raise RingError("blocks must share one coefficient algebra")
-    rows = [a.row(i) + b.row(i) for i in range(dim)] + [c.row(i) + d.row(i) for i in range(dim)]
     if isinstance(a, ScalarMatrix):
-        return ScalarMatrix(2 * dim, 2 * dim, [e for row in rows for e in row], a.ring)
+        den = math.lcm(a.den, b.den, c.den, d.den)
+        values = []
+        for left, right in ((a, b), (c, d)):
+            fl, fr = den // left.den, den // right.den
+            for i in range(0, dim * dim, dim):
+                values += [v * fl for v in left.values[i : i + dim]]
+                values += [v * fr for v in right.values[i : i + dim]]
+        return ScalarMatrix(2 * dim, 2 * dim, values, a.ring, den)
+    rows = [a.row(i) + b.row(i) for i in range(dim)] + [c.row(i) + d.row(i) for i in range(dim)]
     return AlgMatrix(a.algebra, rows)
 
 
@@ -228,9 +230,9 @@ def span_coords(basis, m) -> list[Scalar] | None:
     if not basis:
         raise ShapeError("empty basis")
     for b in basis:
-        if b.dim != m.dim or entry_algebra(b) != entry_algebra(m):
+        if b.dim != m.dim or b.algebra != m.algebra:
             raise ShapeError("basis and target must match in shape and algebra")
-    return SpanSolver([b.flatten() for b in basis], m.ring).solve(m.flatten())
+    return SpanSolver(basis, m.ring).solve(m)
 
 
 def generated_algebra_rank(generators) -> int:
@@ -249,14 +251,14 @@ def generated_algebra_rank(generators) -> int:
     if first.dim > 16:
         raise ShapeError("dimension capped at 16")
     for g in generators:
-        if g.dim != first.dim or entry_algebra(g) is not first.ring:
+        if g.dim != first.dim or g.algebra is not first.ring:
             raise ShapeError("generators must match in shape and algebra")
 
     # the span is taken over Q, so the rank is the one over the fraction field
-    span = SpanSolver([ScalarMatrix.identity(first.dim, first.ring).flatten()], QQ)
+    span = SpanSolver([ScalarMatrix.identity(first.dim, first.ring)], QQ)
     frontier = []
     for g in generators:
-        if span.add(g.flatten()):
+        if span.add(g):
             frontier.append(g)
     length = 1
     while frontier and length < 2 * first.dim:
@@ -264,7 +266,7 @@ def generated_algebra_rank(generators) -> int:
         for x in frontier:
             for g in generators:
                 p = x * g
-                if span.add(p.flatten()):
+                if span.add(p):
                     fresh.append(p)
         frontier = fresh
         length += 1
@@ -274,20 +276,16 @@ def generated_algebra_rank(generators) -> int:
 def algebra_basis(algebra, dim: int) -> list:
     """Module basis of the matrix algebra: unit matrices times entry basis."""
     if isinstance(algebra, Ring):
-        zero, entry_basis, make = algebra.zero, [algebra.one], ScalarMatrix.from_rows
-    else:
-        zero, entry_basis = algebra.zero(), pbw_basis(algebra.space)
-
-        def make(rows):
-            return AlgMatrix(algebra, rows)
-
+        units = range(dim * dim)
+        return [ScalarMatrix(dim, dim, [int(k == t) for k in units], algebra) for t in units]
+    zero, entry_basis = algebra.zero(), pbw_basis(algebra.space)
     out = []
     for i in range(dim):
         for j in range(dim):
             for e in entry_basis:
                 rows = [[zero] * dim for _ in range(dim)]
                 rows[i][j] = e
-                out.append(make(rows))
+                out.append(AlgMatrix(algebra, rows))
     return out
 
 

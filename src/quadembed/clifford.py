@@ -15,7 +15,6 @@ from .scalars import (
     QQ,
     RingError,
     Scalar,
-    ScalarMatrix,
     ShapeError,
     ZZ,
     raw_row,
@@ -131,13 +130,14 @@ def _gen_action(space: QuadraticSpace, i: int, mask: int):
     No 1/2 enters, so it is exact over Z and Z/m.  Integral values are ints,
     also over Q, so the fold runs on ints for integral forms.
     """
-    q, n = space.qmatrix.entries, space.rank
+    (q, den), n = raw_row(space.qmatrix, space.ring), space.rank
     out = []
     sign, rest = 1, mask
     while rest and rest & -rest <= 1 << i:
         low = rest & -rest
-        b = q[(low.bit_length() - 1) * n + i].value
+        b = q[(low.bit_length() - 1) * n + i]
         if b:
+            b = b if den == 1 else Fraction(b, den)
             out.append((mask ^ low, (b.numerator if b.denominator == 1 else b) * sign))
         sign, rest = -sign, rest ^ low
     if not mask >> i & 1:
@@ -401,5 +401,5 @@ def check_graded_iso_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> bool:
     images = [alg.left(monomial(s1, 1 << i)) for i in range(s1.rank)]
     images += [alg.right(monomial(s2, 1 << i)) for i in range(s2.rank)]
     phi = extend_universal(total, images, alg.one())
-    rows = [phi.image_of_mask(mask).flatten() for mask in range(1 << total.rank)]
-    return rank_over_fractions(ScalarMatrix.from_rows(rows)) == 1 << total.rank
+    images = [phi.image_of_mask(mask) for mask in range(1 << total.rank)]
+    return rank_over_fractions(images) == 1 << total.rank

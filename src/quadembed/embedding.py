@@ -17,7 +17,6 @@ from .algmat import (
     CliffordCoeffs,
     algebra_basis,
     block2,
-    entry_algebra,
     lift_scalar_matrix,
     parity_of_block_matrix,
     span_coords,
@@ -102,7 +101,7 @@ class Embedding:
         for m in rho:
             if m.dim != dim:
                 raise ShapeError("basis images must have the declared dimension")
-            if entry_algebra(m) != algebra:
+            if m.algebra != algebra:
                 raise RingError("basis images must share the coefficient algebra")
         if rho[0].ring is not space.ring:
             raise RingError("algebra and space must share the base ring")
@@ -127,7 +126,7 @@ class Embedding:
     def v_span(self) -> SpanSolver:
         """The span of the basis images, built on first use."""
         if self._v_span is None:
-            self._v_span = SpanSolver([m.flatten() for m in self.rho], self.ring)
+            self._v_span = SpanSolver(self.rho, self.ring)
         return self._v_span
 
     @property
@@ -256,8 +255,7 @@ class PhiMap:
             parity_of_block_matrix(img) == bin(mask).count("1") % 2
             for mask, img in enumerate(self.monomial_images)
         )
-        rows = ScalarMatrix.from_rows([img.flatten() for img in self.monomial_images])
-        self.monomial_rank = rank_over_fractions(rows)
+        self.monomial_rank = rank_over_fractions(self.monomial_images)
         self.injective = self.monomial_rank == 1 << n
 
     def __call__(self, x: CliffordElement):
@@ -308,12 +306,12 @@ def jordan_product(e: Embedding, v, w) -> list[Scalar]:
     w = e.space.coordinates(w)
     mv = e.rho_of(v)
     mw = e.rho_of(w)
-    coords = e.v_span.solve((mv * mw * mv).flatten())
+    coords = e.v_span.solve(mv * mw * mv)
     if coords is None:
         raise ClosureError("triple product left the embedded space")
     mvb = e.rho_bar_of(v)
     mwb = e.rho_bar_of(w)
-    bar_coords = e.v_span.solve((mvb * mwb * mvb).flatten())
+    bar_coords = e.v_span.solve(mvb * mwb * mvb)
     if bar_coords is None or bar_coords != e.bar_coords(coords):
         raise ClosureError("bar map does not intertwine the triple product")
     return coords
@@ -330,7 +328,7 @@ def check_alpha_order_two(e: Embedding) -> bool | None:
     squared = e.alpha * e.alpha == ScalarMatrix.identity(e.space.rank, e.ring)
     if squared:
         return True
-    one_coords = e.v_span.solve(e.identity_matrix().flatten())
+    one_coords = e.v_span.solve(e.identity_matrix())
     if one_coords is None or e.bar_coords(one_coords) != one_coords:
         return None
     return False
@@ -433,11 +431,11 @@ def standard_involution_restriction(e: Embedding, phi: PhiMap | None = None) -> 
     """
     if phi is None:
         phi = build_phi(e)
-    solver = SpanSolver([img.flatten() for img in phi.monomial_images], e.ring)
+    solver = SpanSolver(phi.monomial_images, e.ring)
     zero = e.zero_matrix()
     for a in algebra_basis(e.algebra, e.dim):
         diag = block2(a, zero, zero, a)
-        coords = solver.solve(diag.flatten())
+        coords = solver.solve(diag)
         if coords is None:
             return None
         element = CliffordElement(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from .scalars import (
@@ -13,6 +14,7 @@ from .scalars import (
     ShapeError,
     ZZ,
     json_field,
+    raw_row,
     ring_from_name,
 )
 
@@ -37,10 +39,9 @@ class QuadraticSpace:
             raise ShapeError("form matrix must be square")
         if qmatrix.rows < 1:
             raise ShapeError("rank must be at least 1")
-        for i in range(qmatrix.rows):
-            for j in range(i):
-                if not qmatrix.entry(i, j).is_zero:
-                    raise ShapeError("form matrix must be upper triangular")
+        n, q = qmatrix.rows, qmatrix.values
+        if any(q[i * n + j] for i in range(n) for j in range(i)):
+            raise ShapeError("form matrix must be upper triangular")
         self.rank = qmatrix.rows
         self.qmatrix = qmatrix
         self._hash = hash(qmatrix)
@@ -63,16 +64,11 @@ class QuadraticSpace:
         return out
 
     def evaluate_q(self, x) -> Scalar:
-        x = self.coordinates(x)
-        acc = self.ring.zero
-        for i in range(self.rank):
-            if x[i].is_zero:
-                continue
-            for j in range(i, self.rank):
-                c = self.qmatrix.entry(i, j)
-                if not c.is_zero and not x[j].is_zero:
-                    acc = acc + c * x[i] * x[j]
-        return acc
+        """q(x), summed over the raw form and coordinates, boxed once."""
+        xs, xden = raw_row(self.coordinates(x), self.ring)
+        (q, den), n = raw_row(self.qmatrix, self.ring), self.rank
+        total = sum(q[i * n + j] * xs[i] * xs[j] for i in range(n) for j in range(i, n))
+        return self.ring(Fraction(total, den * xden * xden))
 
     def bilinear(self, x, y) -> Scalar:
         """The polarised form q(x+y) - q(x) - q(y)."""
@@ -131,10 +127,8 @@ def hyperbolic(n: int, ring: Ring) -> QuadraticSpace:
     if n < 1:
         raise ShapeError("hyperbolic space needs n >= 1")
     size = 2 * n
-    rows = [[ring(0)] * size for _ in range(size)]
-    for i in range(n):
-        rows[i][n + i] = ring(1)
-    return QuadraticSpace(ScalarMatrix.from_rows(rows))
+    values = [int(j == n + i) for i in range(size) for j in range(size)]
+    return QuadraticSpace(ScalarMatrix(size, size, values, ring))
 
 
 def diagonal_space(coefficients, ring: Ring) -> QuadraticSpace:
@@ -150,16 +144,9 @@ def diagonal_space(coefficients, ring: Ring) -> QuadraticSpace:
 def orthogonal_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> QuadraticSpace:
     if s1.ring is not s2.ring:
         raise RingError("orthogonal sum needs a common base ring")
-    ring = s1.ring
-    n1, n2 = s1.rank, s2.rank
-    size = n1 + n2
-    rows = [[ring(0)] * size for _ in range(size)]
-    for i in range(n1):
-        for j in range(n1):
-            rows[i][j] = s1.qmatrix.entry(i, j)
-    for i in range(n2):
-        for j in range(n2):
-            rows[n1 + i][n1 + j] = s2.qmatrix.entry(i, j)
+    zero, n1, n2 = s1.ring.zero, s1.rank, s2.rank
+    rows = [s1.qmatrix.row(i) + [zero] * n2 for i in range(n1)]
+    rows += [[zero] * n1 + s2.qmatrix.row(i) for i in range(n2)]
     return QuadraticSpace(ScalarMatrix.from_rows(rows))
 
 

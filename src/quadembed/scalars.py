@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
 
 _numerator = attrgetter("numerator")
@@ -25,7 +25,8 @@ class ShapeError(ValueError):
 
 
 class Ring:
-    """Base class for the supported coefficient rings.
+    """Base class for the supported coefficient rings.  The arithmetic
+    here is that of Z and Q, whose values are plain ints and Fractions.
 
     Instances are interned, so rings compare (and hash) by identity.
     """
@@ -36,19 +37,19 @@ class Ring:
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def is_unit_value(self, a) -> bool:
         raise NotImplementedError
 
     def is_nzd_value(self, a) -> bool:
-        raise NotImplementedError
+        return a != 0
 
     def inverse_value(self, a):
         raise NotImplementedError
@@ -85,20 +86,8 @@ class IntegerRing(Ring):
             return int(value)
         raise RingError(f"cannot interpret {value!r} as an integer")
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit_value(self, a):
         return a in (1, -1)
-
-    def is_nzd_value(self, a):
-        return a != 0
 
     def inverse_value(self, a):
         if a in (1, -1):
@@ -116,28 +105,13 @@ class RationalRing(Ring):
             return Fraction(value)
         raise RingError(f"cannot interpret {value!r} as a rational")
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def is_unit_value(self, a):
-        return a != 0
-
-    def is_nzd_value(self, a):
         return a != 0
 
     def inverse_value(self, a):
         if a == 0:
             raise RingError("0 is not a unit in Q")
         return 1 / Fraction(a)
-
-    def format_value(self, a):
-        return str(a)
 
 
 class ModularRing(Ring):
@@ -288,53 +262,76 @@ class Scalar:
 
 
 def parse_scalar(text: str, ring: Ring) -> Scalar:
-    """Inverse of str(): accepts "-7", "3/4" and "5 mod 6" style strings."""
+    """Inverse of str(): accepts "-7", "3/4" and "5 mod 6" style strings.
+    A zero denominator or a modulus other than the ring's is refused."""
     if not isinstance(text, str):
         raise RingError(f"scalar {text!r} is not a string")
     text = text.strip().replace("−", "-")
     if isinstance(ring, ModularRing):
-        head = text.split("mod")[0].strip() if "mod" in text else text
+        head, mod, modulus = text.partition("mod")
+        if mod and int(modulus) != ring.modulus:
+            raise RingError(f"{text!r} is not an element of {ring.name}")
         return ring(int(head))
     if "/" in text:
         if ring is not QQ:
             raise RingError(f"{text!r} is not an element of {ring.name}")
         num, den = text.split("/")
+        if not int(den):
+            raise RingError(f"{text!r} has a zero denominator")
         return ring(Fraction(int(num), int(den)))
     return ring(int(text))
 
 
-def _integer_row(scalars) -> tuple[list[int], int]:
-    """(den * values, den) for the least den that clears every denominator."""
-    values = [s.value for s in scalars]
+def raw_row(x, ring: Ring) -> tuple[list[int] | tuple[int, ...], int]:
+    """Values as integers over one denominator, which is 1 off Q: a
+    ScalarMatrix's own values, unboxed, or the Scalars of a sequence (or of
+    the coefficient vector `flatten()` gives an AlgMatrix or a tensor
+    element) over the least denominator that clears every entry."""
+    if isinstance(x, ScalarMatrix):
+        return x.values, x.den
+    values = [s.value for s in (x.flatten() if hasattr(x, "flatten") else x)]
+    if ring is not QQ:
+        return values, 1
     den = math.lcm(*map(_denominator, values))
     if den == 1:
         return list(map(_numerator, values)), 1
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def raw_row(scalars, ring: Ring) -> tuple[list[int], int]:
-    """The values as integers over one denominator, which is 1 off Q."""
-    if ring is QQ:
-        return _integer_row(scalars)
-    return [s.value for s in scalars], 1
-
-
 class ScalarMatrix:
-    """Dense matrix of Scalars over a single ring, row major and immutable."""
+    """Dense matrix over a single ring, row major and immutable.
 
-    __slots__ = ("rows", "cols", "ring", "entries")
+    Stored raw: `values` is a tuple of ints, the entries times one
+    denominator `den`, in a normal form that makes equal matrices equal
+    field by field.  Over Q, den > 0 and gcd(den, *values) == 1; over Z/m
+    the values are residues in [0, m) and den = 1; over Z, den = 1.  The
+    constructor takes any ints over any den that is invertible in the ring
+    and brings them to that form.  Every kernel works on the raw ints;
+    Scalars are built only where entries leave the matrix: `entries`,
+    `entry`, `row`, `col`, `flatten` and `to_json`."""
 
-    def __init__(self, rows: int, cols: int, entries, ring: Ring):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if e.ring is not ring:
-                raise RingError("all entries must share one ring")
+    __slots__ = ("rows", "cols", "ring", "values", "den")
+
+    def __init__(self, rows: int, cols: int, values, ring: Ring, den: int = 1):
+        values = tuple(values)
+        if len(values) != rows * cols:
+            raise ShapeError(f"expected {rows * cols} entries, got {len(values)}")
+        if den != 1:
+            if isinstance(ring, ModularRing):
+                inv = ring.inverse_value(den % ring.modulus)
+                values, den = [v * inv for v in values], 1
+            else:
+                g = math.gcd(den, *values) if den > 0 else -math.gcd(den, *values)
+                values, den = [v // g for v in values], den // g
+                if ring is ZZ and den != 1:
+                    raise RingError("entries are not integers")
+        if isinstance(ring, ModularRing):
+            values = [v % ring.modulus for v in values]
         self.rows = rows
         self.cols = cols
         self.ring = ring
-        self.entries = entries
+        self.values = tuple(values)
+        self.den = den
 
     @classmethod
     def from_rows(cls, rows) -> "ScalarMatrix":
@@ -345,7 +342,11 @@ class ScalarMatrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
-        return cls(len(rows), width, [e for r in rows for e in r], ring)
+        entries = [e for r in rows for e in r]
+        if any(e.ring is not ring for e in entries):
+            raise RingError("all entries must share one ring")
+        values, den = raw_row(entries, ring)
+        return cls(len(rows), width, values, ring, den)
 
     @classmethod
     def of_ints(cls, ring: Ring, rows) -> "ScalarMatrix":
@@ -353,21 +354,35 @@ class ScalarMatrix:
 
     @classmethod
     def identity(cls, n: int, ring: Ring) -> "ScalarMatrix":
-        return cls(n, n, [ring(1 if i == j else 0) for i in range(n) for j in range(n)], ring)
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)], ring)
 
     @classmethod
     def zero(cls, rows: int, cols: int, ring: Ring) -> "ScalarMatrix":
-        z = ring.zero
-        return cls(rows, cols, [z] * (rows * cols), ring)
+        return cls(rows, cols, [0] * (rows * cols), ring)
+
+    @property
+    def algebra(self) -> Ring:
+        """The entry algebra, as for AlgMatrix: here the ring itself."""
+        return self.ring
+
+    def _boxed(self, values) -> list[Scalar]:
+        ring, den = self.ring, self.den
+        if ring is QQ:
+            return [Scalar(Fraction(v, den), ring) for v in values]
+        return [Scalar(v, ring) for v in values]
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        return tuple(self._boxed(self.values))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i * self.cols + j]
+        return self._boxed((self.values[i * self.cols + j],))[0]
 
-    def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    def row(self, i: int) -> list[Scalar]:
+        return self._boxed(self.values[i * self.cols : (i + 1) * self.cols])
 
-    def col(self, j: int):
-        return self.entries[j :: self.cols]
+    def col(self, j: int) -> list[Scalar]:
+        return self._boxed(self.values[j :: self.cols])
 
     @property
     def dim(self) -> int:
@@ -378,21 +393,22 @@ class ScalarMatrix:
 
     def flatten(self) -> list[Scalar]:
         """The entries in row-major order."""
-        return list(self.entries)
+        return self._boxed(self.values)
 
     def is_zero(self) -> bool:
-        return not any(e.value for e in self.entries)
+        return not any(self.values)
 
     def blocks2(self):
         """Split an even-dimensional square matrix into its four half-size blocks."""
         h, odd = divmod(self.dim, 2)
         if odd:
             raise ShapeError("need an even dimension")
-        rows = [self.row(i) for i in range(self.rows)]
+        n, v = self.rows, self.values
         return tuple(
-            ScalarMatrix(h, h, [e for row in rows[r0 : r0 + h] for e in row[c0 : c0 + h]], self.ring)
-            for r0 in (0, h)
-            for c0 in (0, h)
+            ScalarMatrix(
+                h, h, [x for s in range(at, at + h * n, n) for x in v[s : s + h]], self.ring, self.den
+            )
+            for at in (0, h, h * n, h * n + h)
         )
 
     def __add__(self, other):
@@ -400,78 +416,81 @@ class ScalarMatrix:
             raise ShapeError("shape mismatch")
         if self.ring is not other.ring:
             raise RingError("ring mismatch")
-        return ScalarMatrix(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-            self.ring,
-        )
+        da, db = self.den, other.den
+        if da == db:
+            values = map(add, self.values, other.values)
+        else:
+            den = math.lcm(da, db)
+            fa, fb = den // da, den // db
+            values = [a * fa + b * fb for a, b in zip(self.values, other.values)]
+            da = den
+        return ScalarMatrix(self.rows, self.cols, values, self.ring, da)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return ScalarMatrix(self.rows, self.cols, [-a for a in self.entries], self.ring)
+        return ScalarMatrix(self.rows, self.cols, [-v for v in self.values], self.ring, self.den)
 
     def __mul__(self, other):
-        """Integer dot products of the rows of A with the columns of B, each
-        row and column scaled to integers over one denominator; a row that is
-        at least half zero is dotted over its non-zero entries only.  Each
-        output entry is normalised once."""
+        """Integer dot products of the rows of A with the columns of B, over
+        the product of the two denominators; a row that is at least half
+        zero is dotted over its non-zero entries only."""
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError("inner dimensions do not match")
         if self.ring is not other.ring:
             raise RingError("ring mismatch")
-        ring = self.ring
-        cols, dens = zip(*(raw_row(other.col(j), ring) for j in range(other.cols)))
-        whole = not any(db - 1 for db in dens)  # every column integral
-        norm, zero = ring.normalize, ring.zero
+        n, k, a = self.cols, other.cols, self.values
+        cols = [other.values[j::k] for j in range(k)]
         out = []
-        for i in range(self.rows):
-            row, da = raw_row(self.row(i), ring)
-            nz = [k for k, x in enumerate(row) if x]
-            if 2 * len(nz) <= len(row):
-                row = [row[k] for k in nz]
-                dots = [sum(map(mul, row, map(col.__getitem__, nz))) for col in cols]
+        for i in range(0, len(a), n):
+            row = a[i : i + n]
+            nz = [t for t, x in enumerate(row) if x]
+            if 2 * len(nz) <= n:
+                row = [row[t] for t in nz]
+                out += [sum(map(mul, row, map(col.__getitem__, nz))) for col in cols]
             else:
-                dots = [sum(map(mul, row, col)) for col in cols]
-            if whole and da == 1:
-                out += [Scalar(norm(d), ring) if d else zero for d in dots]
-            else:
-                out += [Scalar(Fraction(d, da * db), ring) if d else zero for d, db in zip(dots, dens)]
-        return ScalarMatrix(self.rows, other.cols, out, ring)
+                out += [sum(map(mul, row, col)) for col in cols]
+        return ScalarMatrix(self.rows, k, out, self.ring, self.den * other.den)
 
     def scale(self, s: Scalar) -> "ScalarMatrix":
-        return ScalarMatrix(self.rows, self.cols, [s * a for a in self.entries], self.ring)
+        if s.ring is not self.ring:
+            raise RingError("ring mismatch")
+        c = s.value
+        values = [c.numerator * v for v in self.values]
+        return ScalarMatrix(self.rows, self.cols, values, self.ring, self.den * c.denominator)
 
     def apply(self, vec) -> list:
         """Matrix times column vector."""
         vec = list(vec)
         if len(vec) != self.cols:
             raise ShapeError("vector length does not match column count")
-        return list((self * ScalarMatrix(self.cols, 1, vec, self.ring)).entries)
+        return (self * ScalarMatrix.from_rows([[x] for x in vec])).flatten()
 
     def transpose(self) -> "ScalarMatrix":
-        return ScalarMatrix(
-            self.cols,
-            self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-            self.ring,
-        )
+        c = self.cols
+        values = [x for j in range(c) for x in self.values[j::c]]
+        return ScalarMatrix(c, self.rows, values, self.ring, self.den)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+    def _elimination_rows(self) -> tuple[list[list[int]], list[int]]:
+        """Each row as integers over its own least denominator den / g,
+        g = gcd(den, *row): the rows that elimination runs on."""
+        c, den = self.cols, self.den
+        rows = [list(self.values[i : i + c]) for i in range(0, len(self.values), c)]
+        if den == 1:
+            return rows, [1] * self.rows
+        gs = [math.gcd(den, *row) for row in rows]
+        return [[v // g for v in row] for row, g in zip(rows, gs)], [den // g for g in gs]
 
     def determinant(self) -> Scalar:
         """Fraction-free; over Z/m the integer determinant of the residues, mod m."""
-        if not self.is_square():
-            raise ShapeError("determinant needs a square matrix")
-        rows, dens = zip(*(_integer_row(self.row(i)) for i in range(self.rows)))
+        n = self.dim
+        rows, dens = self._elimination_rows()
         pivots = []
-        d, sign = _bareiss(list(rows), range(self.cols), pivots, jordan=False)
-        if len(pivots) < self.rows:
+        d, sign = _bareiss(rows, range(n), pivots, jordan=False)
+        if len(pivots) < n:
             return self.ring.zero
         return self.ring(Fraction(sign * d, math.prod(dens)))
 
@@ -479,21 +498,16 @@ class ScalarMatrix:
         """Gauss-Jordan on [D A | D], D the row denominators, which leaves
         [d I | d A^-1] with d = +-det A; over Z/m the right block is the
         adjugate up to sign, so d must be a unit mod m."""
-        if not self.is_square():
-            raise ShapeError("inverse needs a square matrix")
-        n = self.rows
-        rows = []
-        for i in range(n):
-            row, den = _integer_row(self.row(i))
-            rows.append(row + [den if j == i else 0 for j in range(n)])
+        n = self.dim
+        rows, dens = self._elimination_rows()
+        for i, (row, den) in enumerate(zip(rows, dens)):
+            row += [den if j == i else 0 for j in range(n)]
         pivots = []
         d, _ = _bareiss(rows, range(n), pivots)
         if len(pivots) < n:
             raise RingError("matrix is not invertible")
-        ring = self.ring
-        dinv = Fraction(1, d) if ring in (ZZ, QQ) else ring.inverse_value(d % ring.modulus)
         try:
-            return ScalarMatrix.of_ints(ring, [[x * dinv for x in row[n:]] for row in rows])
+            return ScalarMatrix(n, n, [x for row in rows for x in row[n:]], self.ring, d)
         except RingError:
             raise RingError("determinant is not a unit, no inverse in the ring") from None
 
@@ -504,14 +518,15 @@ class ScalarMatrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.ring is other.ring
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.values == other.values
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.ring, self.entries))
+        return hash((self.rows, self.cols, self.ring, self.values, self.den))
 
     def to_json(self):
-        return [[str(self.entry(i, j)) for j in range(self.cols)] for i in range(self.rows)]
+        return [[str(e) for e in self.row(i)] for i in range(self.rows)]
 
     @classmethod
     def from_json(cls, data, ring: Ring) -> "ScalarMatrix":
@@ -625,16 +640,23 @@ def solve_in_ring(a: ScalarMatrix, b) -> list[Scalar] | None:
     for e in b:
         if e.ring is not a.ring:
             raise RingError("right-hand side must live in the matrix ring")
-    return SpanSolver([a.col(j) for j in range(a.cols)], a.ring).solve(b)
+    columns = [ScalarMatrix(a.rows, 1, a.values[j :: a.cols], a.ring, a.den) for j in range(a.cols)]
+    return SpanSolver(columns, a.ring).solve(b)
 
 
-def rank_over_fractions(a: ScalarMatrix) -> int:
-    """Rank of A over the fraction field (Z or Q coefficients only)."""
-    if isinstance(a.ring, ModularRing):
+def rank_over_fractions(a) -> int:
+    """Rank over the fraction field of a ScalarMatrix over Z or Q, or of
+    the matrix whose rows are a list of vectors over Z or Q, each read by
+    `raw_row`.  Elimination runs on each row cleared of its own least
+    denominator, which leaves the rank alone."""
+    if not isinstance(a, ScalarMatrix):
+        rows = [list(raw_row(v, QQ)[0]) for v in a]
+    elif isinstance(a.ring, ModularRing):
         raise RingError("rank over fractions is not defined for modular rings")
+    else:
+        rows = a._elimination_rows()[0]
     pivots = []
-    rows = [_integer_row(a.row(i))[0] for i in range(a.rows)]
-    _bareiss(rows, range(a.cols), pivots, jordan=False)
+    _bareiss(rows, range(len(rows[0])), pivots, jordan=False)
     return len(pivots)
 
 
@@ -648,24 +670,23 @@ class SpanSolver:
     x_F must then make the pivot rows y - N x_F divisible by d, a system
     mod |d| solved on its Howell form.  Over Z/m a solve is a forward
     substitution along the Howell form of [A^T | I].  `rank` counts pivots:
-    over Z and Q, the rank over the fraction field."""
+    over Z and Q, the rank over the fraction field.  A vector is anything
+    `raw_row` reads: Scalars, or a matrix in row-major order."""
 
     def __init__(self, columns, ring: Ring):
-        columns = [list(col) for col in columns]
-        if not columns:
+        cols = [raw_row(col, ring) for col in columns]
+        if not cols:
             raise ShapeError("need at least one spanning vector")
         self.ring = ring
-        self.n = n = len(columns[0])
-        self.k = len(columns)
+        self.n = n = len(cols[0][0])
+        self.k = len(cols)
         self.pivots = []
         if isinstance(ring, ModularRing):
             self._rows = [
-                [s.value for s in col] + [int(i == j) for j in range(self.k)]
-                for i, col in enumerate(columns)
+                list(col) + [int(i == j) for j in range(self.k)] for i, (col, _) in enumerate(cols)
             ]
             self.pivots = _echelon(self._rows, n, ring.modulus)
             return
-        cols = [_integer_row(col) for col in columns]
         self._scales = [den for _, den in cols]
         self._rows = [
             [int(i == j) for j in range(n)] + [col[i] for col, _ in cols]
@@ -679,22 +700,27 @@ class SpanSolver:
 
     def _image(self, values) -> list[int]:
         """T times an integer vector, over the vector's non-zero entries."""
-        nz = [(j, v) for j, v in enumerate(values) if v]
-        return [sum(row[j] * v for j, v in nz) for row in self._rows]
+        nz = [j for j, v in enumerate(values) if v]
+        vs = [values[j] for j in nz]
+        return [sum(map(mul, map(row.__getitem__, nz), vs)) for row in self._rows]
+
+    def _raw(self, vec) -> tuple[list[int], int]:
+        b, den = raw_row(vec, self.ring)
+        if len(b) != self.n:
+            raise ShapeError("vector length does not match span vectors")
+        return b, den
 
     def solve(self, target) -> list[Scalar] | None:
-        target = list(target)
-        if len(target) != self.n:
-            raise ShapeError("target length does not match span vectors")
-        b, den = _integer_row(target)
+        b, den = self._raw(target)
         ring, r = self.ring, self.rank
         if isinstance(ring, ModularRing):
             x = _howell_solve(self._rows, self.pivots, ring.modulus, b, self.k)
-            return None if x is None else [ring(v) for v in x]
+            return None if x is None else ScalarMatrix(1, self.k, x, ring).flatten()
         ys = self._image(b)
         if any(ys[r:]):
             return None
         x = [0] * self.k
+        den *= self._d  # x is held as integers over den
         if ring is ZZ:
             m = abs(self._d)
             free = [j for j in range(self.n, self.n + self.k) if j not in self.pivots]
@@ -706,28 +732,24 @@ class SpanSolver:
             if xf is None:
                 return None
             for j, v in zip(free, xf):
-                x[j - self.n] = v
+                x[j - self.n] = v * den
                 ys = [y - row[j] * v for y, row in zip(ys, self._rows)]
         for y, c in zip(ys, self.pivots):
-            c -= self.n
-            x[c] = Fraction(y * self._scales[c], self._d * den)
-        return [ring(v) for v in x]
+            x[c - self.n] = y * self._scales[c - self.n]
+        return ScalarMatrix(1, self.k, x, ring, den).flatten()
 
     def add(self, vec) -> bool:
         """Adjoin `vec` as one more spanning vector unless the span already
         holds it; returns whether it was adjoined."""
-        vec = list(vec)
-        if len(vec) != self.n:
-            raise ShapeError("vector length does not match span vectors")
         if self.ring is not QQ and self.solve(vec) is not None:
             return False
+        v, den = self._raw(vec)
         if isinstance(self.ring, ModularRing):
             for row in self._rows:
                 row.append(0)
-            self._rows.append([s.value for s in vec] + [0] * self.k + [1])
+            self._rows.append(list(v) + [0] * self.k + [1])
             self.pivots = _echelon(self._rows, self.n, self.ring.modulus)
         else:
-            v, den = _integer_row(vec)
             w = self._image(v)
             if self.ring is QQ and not any(w[self.rank :]):
                 return False

@@ -66,19 +66,17 @@ class SpinContext:
         self.star = e.a_star
         self.phi = build_phi(e)
         self.lifted = lift_involution(e)
-        self.one_coords = e.v_span.solve(e.identity_matrix().flatten())
+        self.one_coords = e.v_span.solve(e.identity_matrix())
         if self.one_coords is None or e.bar_coords(self.one_coords) != self.one_coords:
             raise SpinError("the algebra unit must sit bar-fixed inside V")
-        self._phi_solver = SpanSolver(
-            [img.flatten() for img in self.phi.images], self.ring
-        )
+        self._phi_solver = SpanSolver(self.phi.images, self.ring)
         even_images = [
             img
             for mask, img in enumerate(self.phi.monomial_images)
             if bin(mask).count("1") % 2 == 0
         ]
-        self._even_solver = SpanSolver([m.flatten() for m in even_images], self.ring)
-        self._scalar_solver = SpanSolver([e.identity_matrix().flatten()], self.ring)
+        self._even_solver = SpanSolver(even_images, self.ring)
+        self._scalar_solver = SpanSolver([e.identity_matrix()], self.ring)
         self._zero = e.zero_matrix()
         one = e.identity_matrix()
         self._one2 = block2(one, self._zero, self._zero, one)
@@ -86,17 +84,17 @@ class SpinContext:
     # -- membership ---------------------------------------------------
 
     def v_coords(self, m: ScalarMatrix):
-        return self.embedding.v_span.solve(m.flatten())
+        return self.embedding.v_span.solve(m)
 
     def is_scalar(self, m: ScalarMatrix) -> bool:
-        return self._scalar_solver.solve(m.flatten()) is not None
+        return self._scalar_solver.solve(m) is not None
 
     def diag(self, p: EvenPair) -> ScalarMatrix:
         return block2(p.g1, self._zero, self._zero, p.g2)
 
     def in_even_image(self, p: EvenPair) -> bool:
         """Whether diag(g1, g2) lies in the image of the even part."""
-        return self._even_solver.solve(self.diag(p).flatten()) is not None
+        return self._even_solver.solve(self.diag(p)) is not None
 
     def group_element(self, m: ScalarMatrix) -> GroupElement:
         det = m.determinant()
@@ -154,7 +152,7 @@ class SpinContext:
         xinv = self.lifted(x)  # valid inverse inside the norm-one group
         for img in self.phi.images:
             conj = x * img * xinv
-            if self._phi_solver.solve(conj.flatten()) is None:
+            if self._phi_solver.solve(conj) is None:
                 return False
         return True
 
@@ -164,7 +162,7 @@ class SpinContext:
         x = self.diag(p)
         e = self.embedding
         image = block2(self._zero, e.rho_of(v), e.rho_bar_of(v), self._zero)
-        return self._phi_solver.solve((x * image * self.lifted(x)).flatten())
+        return self._phi_solver.solve(x * image * self.lifted(x))
 
     def chi(self, p: EvenPair) -> GroupElement:
         """Project a spin pair to its first component."""
@@ -188,10 +186,9 @@ class SpinContext:
         if i == j:
             raise ShapeError("off-diagonal indices required")
         t = t if isinstance(t, Scalar) else self.ring(t)
-        m = [[self.ring(1 if a == b else 0) for b in range(self.embedding.dim)]
-             for a in range(self.embedding.dim)]
-        m[i][j] = t
-        return ScalarMatrix.from_rows(m)
+        dim = self.embedding.dim
+        unit = ScalarMatrix(dim, dim, [int(k == i * dim + j) for k in range(dim * dim)], self.ring)
+        return ScalarMatrix.identity(dim, self.ring) + unit.scale(t)
 
     def sample_elementary_product(self, rng: random.Random, max_factors: int = 6) -> ScalarMatrix:
         dim = self.embedding.dim
@@ -253,8 +250,7 @@ class SpinContext:
             rng = random.Random(skey)
             while True:
                 v = random_vector(rng, self.space)
-                rows = ScalarMatrix.from_rows([self.one_coords, v])
-                if rank_over_fractions(rows) == 2:
+                if rank_over_fractions([self.one_coords, v]) == 2:
                     break
             r = self.ring(rng.choice([x for x in range(-4, 5) if x]))
             mv = e.rho_of(v)
@@ -280,8 +276,8 @@ class SpinContext:
             v2 = self.random_norm_one_vector(rng)
             m2 = e.rho_of(v2)
             target = e.rho_bar_of(v1) + m2 * e.rho_of(v1) * m2
-            line = SpanSolver([m2.flatten()], self.ring)
-            if line.solve(target.flatten()) is None:
+            line = SpanSolver([m2], self.ring)
+            if line.solve(target) is None:
                 failures.append(
                     {"seed": skey, "witness": [_coords_json(v1), _coords_json(v2)]}
                 )

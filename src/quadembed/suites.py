@@ -96,11 +96,8 @@ def random_pair(rng, ring, length, bound=9):
 
 
 def random_space(rng, ring, rank, bound=3) -> QuadraticSpace:
-    rows = [
-        [ring(rng.randint(-bound, bound)) if j >= i else ring(0) for j in range(rank)]
-        for i in range(rank)
-    ]
-    return QuadraticSpace(ScalarMatrix.from_rows(rows))
+    values = [rng.randint(-bound, bound) if j >= i else 0 for i in range(rank) for j in range(rank)]
+    return QuadraticSpace(ScalarMatrix(rank, rank, values, ring))
 
 
 def random_element(rng, space, max_terms=4, bound=4) -> CliffordElement:
@@ -391,11 +388,11 @@ def _embedding_unit_trace(cfg: SuiteConfig) -> CheckResult:
     for n in (2, 3):
         bed = suslin_embedding(n, ring)
         one = bed.identity_matrix()
-        solver = SpanSolver([one.flatten()], ring)
+        solver = SpanSolver([one], ring)
         for i in range(cfg.samples):
             v = random_vector(rng, bed.space)
             m = bed.rho_of(v) + bed.rho_bar_of(v)
-            if solver.solve(m.flatten()) is None:
+            if solver.solve(m) is None:
                 failures.append({"n": n, "index": i})
     return _result("unit_trace", failures)
 
@@ -416,11 +413,8 @@ def _embedding_lifted_involution(cfg: SuiteConfig) -> CheckResult:
 
         def random_doubled():
             if bed.scalar_entries:
-                rows = [
-                    [ring(rng.randint(-3, 3)) for _ in range(dim2)]
-                    for _ in range(dim2)
-                ]
-                return ScalarMatrix.from_rows(rows)
+                values = [rng.randint(-3, 3) for _ in range(dim2 * dim2)]
+                return ScalarMatrix(dim2, dim2, values, ring)
             rows = [
                 [random_element(rng, alg.space, max_terms=2, bound=2) for _ in range(dim2)]
                 for _ in range(dim2)

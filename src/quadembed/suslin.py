@@ -178,9 +178,7 @@ class JMatrix:
     candidates_tried: int
 
     def as_ring(self, ring: Ring) -> ScalarMatrix:
-        return ScalarMatrix.of_ints(
-            ring, [[e.value for e in self.matrix.row(i)] for i in range(self.size)]
-        )
+        return ScalarMatrix(self.size, self.size, self.matrix.values, ring)
 
     def star_map(self, ring: Ring):
         """Entry involution M -> J M^T J^T on matrices over `ring`.  With
@@ -188,14 +186,16 @@ class JMatrix:
         star(M)[i][j] = s_i s_j M[p(j)][p(i)]."""
         n = self.size
         # J has one non-zero entry per row, so these come in row order
-        p, s = zip(*((k % n, e.value) for k, e in enumerate(self.matrix.entries) if e.value))
+        p, s = zip(*((k % n, v) for k, v in enumerate(self.matrix.values) if v))
         plan = [(p[j] * n + p[i], s[i] != s[j]) for i in range(n) for j in range(n)]
 
         def star(m: ScalarMatrix) -> ScalarMatrix:
             if (m.rows, m.cols) != (n, n):
                 raise ShapeError(f"expected a {n}x{n} matrix")
-            e = m.entries
-            return ScalarMatrix(n, n, [-e[k] if flip else e[k] for k, flip in plan], ring)
+            if m.ring is not ring:
+                raise RingError("ring mismatch")
+            v = m.values
+            return ScalarMatrix(n, n, [-v[k] if flip else v[k] for k, flip in plan], ring, m.den)
 
         return star
 
@@ -380,8 +380,7 @@ def catalog_generators(family: str, n: int, ring: Ring) -> list:
             f"family {family} at n={n}: relation failure at {err.pair}"
         ) from err
     if ring in (ZZ, QQ):
-        rows = [phi.image_of_mask(m).flatten() for m in range(1 << space.rank)]
-        rank = rank_over_fractions(ScalarMatrix.from_rows(rows))
+        rank = rank_over_fractions([phi.image_of_mask(m) for m in range(1 << space.rank)])
         if rank != 1 << space.rank:
             raise CatalogError(
                 f"family {family} at n={n}: monomial rank {rank} != {1 << space.rank}"

@@ -1,13 +1,19 @@
 """The command-line surface: flag grammar, JSON output, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import quadembed
 from quadembed.cli import main
+from quadembed.suslin import FAMILIES
 
 # a child interpreter started here finds the package the tests import
 PACKAGE_ROOT = Path(quadembed.__file__).parent.parent
@@ -105,6 +111,10 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("clifford", "mul", "--space", "hyp:1", "--a", "9:1", "--b", "1:1"),
         ("clifford", "mul", "--space", "hyp:1", "--a", "1:1",
          "--b", '{"terms": [{"mask": -1, "coeff": "1"}]}'),
+        # a zero denominator, and a residue modulo another modulus
+        ("suslin", "--v", "1/0", "--w", "1", "--ring", "q"),
+        ("clifford", "mul", "--space", '{"ring": "Q", "q": [["1/0"]]}', "--a", "1:1", "--b", "1:1"),
+        ("clifford", "mul", "--space", "diag:1", "--ring", "zmod:5", "--a", "0:1 mod 3", "--b", "0:1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -130,6 +140,83 @@ def test_bad_input_exits_2_with_one_line(capsys):
     space = '{"ring": "Z", "q": [[1]]}'
     code, out, err = run_cli(capsys, "clifford", "mul", "--space", space, "--a", "1:1", "--b", "1:1")
     assert code == 2 and out == "" and err.count("\n") == 1
+
+
+# Scalar strings: numbers, fractions (over zero too), residues modulo any
+# modulus, huge integers, and strings that are not numbers at all.  Q is
+# drawn more often than the other rings, and well-formed input more often
+# than junk, so that most argvs get past their first scalar.
+_INT = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40)).map(str)
+_FRACTION = st.tuples(_INT, st.sampled_from(["0", "1", "2", "0", "-3", "7", ""])).map("/".join)
+_RESIDUE = st.tuples(_INT, st.sampled_from(["0", "2", "5", "6", "101", "x", ""])).map(" mod ".join)
+_JUNK = st.sampled_from(["", " ", "/", "1/", "/2", "1/2/3", "mod", "mod 5", "1 mod 5 mod 5",
+                         "x", "1.5", "1e3", "−3", "nan", "\t4\n", "9" * 5000])
+_SCALAR = st.one_of(_INT, _FRACTION, _INT, _FRACTION, _INT, _FRACTION, _RESIDUE, _JUNK)
+_RING = st.sampled_from(["q", "q", "q", "z", "zmod:2", "zmod:6", "zmod:101", "zmod:1", "zmod:x", "r"])
+_VECTOR = st.lists(_SCALAR, min_size=1, max_size=4).map(",".join)
+
+
+def _json_space(ring, rows):
+    """A form over `ring` with at most as many columns as rows (short rows
+    stay ragged) and most entries below the diagonal 0."""
+    n = len(rows)
+    q = [[e if j >= i or (i + j) % 3 == 2 else "0" for j, e in enumerate(row[:n])]
+         for i, row in enumerate(rows)]
+    return json.dumps({"ring": ring, "q": q})
+
+
+_SPACE = st.one_of(
+    st.sampled_from(["1", "2", "1", "2", "0", "-1", "x", ""]).map("hyp:".__add__),
+    _VECTOR.map("diag:".__add__),
+    st.builds(
+        _json_space,
+        st.sampled_from(["Z", "Q", "Q", "Z/6", "Z/101", "Z/1", "Z/x", "R"]),
+        st.lists(st.lists(st.one_of(_SCALAR, st.integers(0, 2)), min_size=1, max_size=4),
+                 min_size=1, max_size=4),
+    ),
+)
+_MASK = st.one_of(st.integers(0, 15), st.integers(0, 3), st.sampled_from([-1, 16, "x", ""]))
+_TERMS = st.lists(st.tuples(_MASK, _SCALAR), min_size=1, max_size=3)
+_ELEMENT = st.one_of(
+    _TERMS.map(lambda terms: ",".join(f"{m}:{c}" for m, c in terms)),
+    _TERMS.map(lambda terms: json.dumps({"terms": [{"mask": m, "coeff": c} for m, c in terms]})),
+)
+_ARGV = st.one_of(
+    st.builds(
+        lambda pairs, flags, ring: ["suslin", "--v=" + ",".join(v for v, _ in pairs),
+                                    "--w=" + ",".join(w for _, w in pairs), *flags, "--ring=" + ring],
+        st.lists(st.tuples(_SCALAR, _SCALAR), min_size=1, max_size=4),
+        st.sampled_from([[], ["--bar"], ["--check"]]),
+        _RING,
+    ),
+    st.builds(
+        lambda space, a, b, ring: ["clifford", "mul", f"--space={space}", f"--a={a}", f"--b={b}",
+                                   "--ring=" + ring],
+        _SPACE, _ELEMENT, _ELEMENT, _RING,
+    ),
+    st.builds(
+        lambda family, n, ring: ["catalog", f"--family={family}", f"--n={n}", "--ring=" + ring],
+        st.sampled_from(FAMILIES), st.sampled_from(["1", "2"]), _RING,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+def test_cli_parsers_never_crash(argv):
+    """Whatever the scalars, spaces and elements say, the CLI answers with
+    exit 0 and JSON, or exit 2 and one line on stderr: never a traceback,
+    and never exit 1, which only a failed verified property may use."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert code == 2, argv
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_verify_single_suite(capsys):
@@ -162,13 +249,15 @@ def test_verify_emit_file(tmp_path, capsys):
 
 def test_verify_report_digests_are_pinned(capsys):
     """The whole report of a fixed configuration, byte for byte, against the
-    digests recorded before the scalar matrix types were merged (Z, Q) and
-    before the Clifford product tables moved onto the spaces (Z/6): a change
-    to any check, sampler, solver or number format moves them."""
+    digests recorded before the scalar matrix types were merged (Z, Q),
+    before the Clifford product tables moved onto the spaces (Z/6) and
+    before matrices were stored as integers over one denominator (Z/101):
+    a change to any check, sampler, solver or number format moves them."""
     want = {
         None: "ed2157bb7056a47bfe64e133b1b16d058234feb85752d07735dff41713998897",
         "q": "dcc9271e33faf8128d0bacd2aa65aefd123af6c0f9365278fdc63eeccad449ae",
         "zmod:6": "9d0ad9179a1523cad78a46a4c0b22c00b5c1244b979792a98fc3a8a96e3e6d94",
+        "zmod:101": "cde3e3582bc8a3327861c013fa423c7a2a71a803db38cc7aa43b1a899e2a0607",
     }
     for ring, digest in want.items():
         argv = ["verify", "--suite", "all", "--samples", "3", "--seed", "0"]

@@ -1,5 +1,6 @@
 """Ring arithmetic and the exact linear solvers."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadembed.algmat import block2
 from quadembed.scalars import (
     QQ,
     RingError,
@@ -54,6 +56,17 @@ def test_scalar_strings_round_trip():
     for s, text in cases:
         assert str(s) == text
         assert parse_scalar(text, s.ring) == s
+
+
+def test_parse_scalar_refuses_what_it_cannot_read_exactly():
+    with pytest.raises(RingError):
+        parse_scalar("1/0", QQ)
+    with pytest.raises(RingError):
+        parse_scalar("1 mod 3", Zmod(5))
+    with pytest.raises(RingError):
+        parse_scalar("5 mod 7", Zmod(6))
+    assert parse_scalar("5 mod 6", Zmod(6)) == Zmod(6)(5)
+    assert parse_scalar(" 11 ", Zmod(6)) == Zmod(6)(5)
 
 
 def test_rational_canonical_form():
@@ -400,3 +413,49 @@ def test_matrix_json_round_trip():
     assert ScalarMatrix.from_json(m.to_json(), ZZ) == m
     q = ScalarMatrix.from_rows([[QQ(Fraction(1, 2)), QQ(3)]])
     assert ScalarMatrix.from_json(q.to_json(), QQ) == q
+
+
+def _in_normal_form(m: ScalarMatrix) -> bool:
+    if m.ring is QQ:
+        return m.den > 0 and math.gcd(m.den, *m.values) == 1
+    if m.ring is ZZ:
+        return m.den == 1
+    return m.den == 1 and all(0 <= v < m.ring.modulus for v in m.values)
+
+
+def test_equal_matrices_built_by_different_routes_are_equal():
+    """Raw storage has one normal form per ring, so every route to the same
+    matrix ends in the same values and denominator: == and hash agree."""
+    rng = random.Random(7)
+    cases = [
+        (ZZ, lambda: rng.randint(-9, 9), ZZ(-1), ZZ(-1), 6),
+        (QQ, lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6])),
+         QQ(Fraction(3, 7)), QQ(Fraction(7, 3)), -6),
+        (Zmod(6), lambda: rng.randint(-20, 20), Zmod(6)(5), Zmod(6)(5), 5),
+    ]
+    for ring, draw, c, c_inv, k in cases:
+        for _ in range(5):
+            a = ScalarMatrix.of_ints(ring, [[draw() for _ in range(4)] for _ in range(4)])
+            b = ScalarMatrix.of_ints(ring, [[draw() for _ in range(4)] for _ in range(4)])
+            eye = ScalarMatrix.identity(4, ring)
+            routes = [
+                # the same values over a denominator that cancels
+                ScalarMatrix(4, 4, [v * k for v in a.values], ring, a.den * k),
+                a.scale(c).scale(c_inv),
+                (a + b) - b,
+                a * eye,
+                eye * a,
+                a.transpose().transpose(),
+                block2(*a.blocks2()),
+                ScalarMatrix.from_rows([a.entries[i : i + 4] for i in range(0, 16, 4)]),
+                ScalarMatrix.from_json(a.to_json(), ring),
+            ]
+            assert _in_normal_form(a) and a.algebra is ring
+            for m in routes:
+                assert _in_normal_form(m)
+                assert m == a and hash(m) == hash(a)
+                assert (m.values, m.den) == (a.values, a.den)
+    # a block of a rational matrix can be integral: it drops the denominator
+    half = ScalarMatrix.of_ints(QQ, [[Fraction(1, 2), 0], [2, 4]])
+    assert half.den == 2
+    assert [blk.den for blk in half.blocks2()] == [2, 1, 1, 1]

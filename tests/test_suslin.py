@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadembed.algmat import AlgMatrix, block2, entry_algebra, lift_scalar_matrix
+from quadembed.algmat import AlgMatrix, block2, lift_scalar_matrix
 from quadembed.clifford import extend_universal, monomial
 from quadembed.embedding import build_phi
 from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ, Zmod, rank_over_fractions
@@ -311,7 +311,7 @@ def test_catalog_monomial_independence_counts():
     ):
         gens = catalog_generators(family, n, QQ)
         space = catalog_space(family, n, QQ)
-        one = lift_scalar_matrix(ScalarMatrix.identity(gens[0].dim, QQ), entry_algebra(gens[0]))
+        one = lift_scalar_matrix(ScalarMatrix.identity(gens[0].dim, QQ), gens[0].algebra)
         phi = extend_universal(space, gens, one)
         rows = [phi.image_of_mask(m).flatten() for m in range(1 << space.rank)]
         assert rank_over_fractions(ScalarMatrix.from_rows(rows)) == count
