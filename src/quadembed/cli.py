@@ -6,6 +6,7 @@ Exit codes: 0 all good, 1 a property suite reported a violation, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -98,8 +99,7 @@ def _cmd_clifford_mul(args) -> int:
 
 
 def _cmd_derive_j(args) -> int:
-    j = derive_j(args.n)
-    _emit(j.to_json())
+    _emit(derive_j(args.n).to_json())
     return 0
 
 
@@ -140,12 +140,12 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     ring = _parse_ring(args.ring)
-    report = run_suites(args.suite, args.seed, args.samples, ring)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
-    if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # opened first, so a path that cannot be written fails before any suite runs
+    with open(args.emit, "w", encoding="utf-8") if args.emit else io.StringIO() as emit:
+        report = run_suites(args.suite, args.seed, args.samples, ring)
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        sys.stdout.write(text)
+        emit.write(text)
     return 0 if report["passed"] else 1
 
 
@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--ring", default=None)
     pm.set_defaults(fn=_cmd_clifford_mul)
 
-    p = sub.add_parser("derive-j", help="search for the signed-permutation conjugator")
-    p.add_argument("--n", type=int, required=True, help="1, 2 or 3")
+    p = sub.add_parser("derive-j", help="derive the signed-permutation conjugator")
+    p.add_argument("--n", type=int, required=True, help="1 to 8")
     p.set_defaults(fn=_cmd_derive_j)
 
     p = sub.add_parser("iso", help="certify the hyperbolic matrix realisation")
@@ -204,7 +204,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (RingError, ShapeError, ValueError, KeyError) as err:
+    except (RingError, ShapeError, ValueError, KeyError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -4,9 +4,7 @@ small split quadratic spaces."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algmat import AlgMatrix, CliffordCoeffs, block2, lift_scalar_matrix
 from .clifford import CliffordRelationError, extend_universal, monomial
@@ -21,12 +19,15 @@ from .scalars import (
     ShapeError,
     ZZ,
     rank_over_fractions,
+    raw_row,
 )
+
+MAX_COORDINATES = 8  # 128x128 matrices; each coordinate more costs about 4 times
 
 
 @dataclass(frozen=True)
 class SuslinPair:
-    """Two coordinate rows of equal length n+1; the matrices have size 2**n."""
+    """Two coordinate rows of equal length n+1 <= MAX_COORDINATES; the matrices have size 2**n."""
 
     v: tuple
     w: tuple
@@ -34,8 +35,8 @@ class SuslinPair:
     def __post_init__(self):
         if len(self.v) != len(self.w):
             raise ShapeError("coordinate rows must have equal length")
-        if not self.v:
-            raise ShapeError("coordinate rows must be non-empty")
+        if not 1 <= len(self.v) <= MAX_COORDINATES:
+            raise ShapeError(f"a pair has 1 to {MAX_COORDINATES} coordinates, not {len(self.v)}")
         ring = self.v[0].ring
         for s in self.v + self.w:
             if s.ring is not ring:
@@ -61,35 +62,33 @@ def suslin_pair(ring: Ring, v, w) -> SuslinPair:
     return SuslinPair(conv(v), conv(w))
 
 
-def _recurse(v, w, ring):
-    """Rows of (S, Sbar) for coordinate tuples of length n+1."""
-    if len(v) == 1:
-        return [[v[0]]], [[w[0]]]
-    a0, b0 = v[0], w[0]
-    s1, sb1 = _recurse(v[1:], w[1:], ring)
-    h = len(s1)
-    zero = ring.zero
-    s_rows, sbar_rows = [], []
-    for i in range(h):
-        diag = [a0 if i == j else zero for j in range(h)]
-        s_rows.append(diag + s1[i])
-        sbar_rows.append([b0 if i == j else zero for j in range(h)] + [-x for x in s1[i]])
-    for i in range(h):
-        s_rows.append([-x for x in sb1[i]] + [b0 if i == j else zero for j in range(h)])
-        sbar_rows.append(sb1[i] + [a0 if i == j else zero for j in range(h)])
-    return s_rows, sbar_rows
+def _suslin_matrix(p: SuslinPair, which: int) -> ScalarMatrix:
+    """S (which = 0) or Sbar (which = 1), doubled up from the last coordinate
+    on the pair's raw values: S = [[a I, S'], [-Sbar', b I]], Sbar = [[b I, -S'], [Sbar', a I]]."""
+    k = len(p.v)
+    values, den = raw_row(p.v + p.w, p.ring)
+    s_rows, sbar_rows = [[values[k - 1]]], [[values[-1]]]
+    for a, b in zip(reversed(values[: k - 1]), reversed(values[k:-1])):
+        s1, sb1, h = s_rows, sbar_rows, len(s_rows)
+        s_rows, sbar_rows = [], []
+        for i in range(h):
+            s_rows.append([a if i == j else 0 for j in range(h)] + s1[i])
+            sbar_rows.append([b if i == j else 0 for j in range(h)] + [-x for x in s1[i]])
+        for i in range(h):
+            s_rows.append([-x for x in sb1[i]] + [b if i == j else 0 for j in range(h)])
+            sbar_rows.append(sb1[i] + [a if i == j else 0 for j in range(h)])
+    rows = (s_rows, sbar_rows)[which]
+    return ScalarMatrix(p.size, p.size, [x for row in rows for x in row], p.ring, den)
 
 
 def suslin(p: SuslinPair) -> ScalarMatrix:
     """The recursive block matrix attached to the coordinate pair."""
-    rows, _ = _recurse(p.v, p.w, p.ring)
-    return ScalarMatrix.from_rows(rows)
+    return _suslin_matrix(p, 0)
 
 
 def suslin_bar(p: SuslinPair) -> ScalarMatrix:
     """The companion matrix; multiplying the two gives dot(v, w) times I."""
-    _, rows = _recurse(p.v, p.w, p.ring)
-    return ScalarMatrix.from_rows(rows)
+    return _suslin_matrix(p, 1)
 
 
 def bar_pair(p: SuslinPair) -> SuslinPair:
@@ -163,7 +162,7 @@ def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
 
 
 class DerivationError(RuntimeError):
-    """The signed-permutation search exhausted without a conjugator."""
+    """Orbit propagation found no signed permutation satisfying the identity."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class JMatrix:
     size: int
     matrix: ScalarMatrix  # over Z, entries in {-1, 0, 1}
     bar_case: bool  # True when conjugation lands on the companion matrix
-    candidates_tried: int
+    candidates_tried: int  # J's rank among all signed permutations, see derive_j
 
     def as_ring(self, ring: Ring) -> ScalarMatrix:
         return ScalarMatrix(self.size, self.size, self.matrix.values, ring)
@@ -210,46 +209,69 @@ class JMatrix:
         }
 
 
-@lru_cache(maxsize=3)
-def derive_j(n: int) -> JMatrix:
-    """Search the signed permutations of size 2**(n-1) for the conjugator.
+def _unit_pairs(n: int, ring: Ring) -> list[SuslinPair]:
+    """The 2n unit coordinate pairs, ordered (a_0..a_{n-1}, b_0..b_{n-1})."""
+    units = [tuple(ring(int(i == k)) for i in range(2 * n)) for k in range(2 * n)]
+    return [SuslinPair(u[:n], u[n:]) for u in units]
 
-    The defining identity is linear in the coordinate pair, so checking it
-    on the 2n unit-vector pairs settles it for every pair.  Candidates are
-    enumerated permutation-first, plus signs before minus; the first match
-    is returned, which keeps the result deterministic.  The result depends
-    on n alone, so each of the three searches runs once per process.
+
+def _propagate(maps, size: int, start):
+    """J's rows as (column, sign) grown from row 0's `start`, or None if they
+    clash or miss a row or column.  With T[i][r] = t and S[c][col_i] = s, row i
+    of J S^T = T J reads sign_i s e_c = t J_r, so J_r = (c, sign_i s t)."""
+    rows, orbit = [start] + [None] * (size - 1), [0]
+    for i in orbit:
+        col, sign = rows[i]
+        for t_rows, s_cols in maps:
+            named, hit = t_rows.get(i), s_cols.get(col)
+            if named is None or hit is None:
+                if named is not hit:
+                    return None
+                continue
+            (r, t), (c, s) = named, hit
+            if rows[r] is None:
+                orbit.append(r)
+            elif rows[r] != (c, sign * s * t):
+                return None
+            rows[r] = (c, sign * s * t)
+    return rows if len(orbit) == size == len({c for c, _ in rows}) else None
+
+
+def derive_j(n: int) -> JMatrix:
+    """The signed permutation J of size 2**(n-1), 1 <= n <= MAX_COORDINATES,
+    with J S^T J^T = S for odd n and Sbar for even n, by orbit propagation.
+
+    The identity is linear in the pair, so the 2n unit pairs settle it; a
+    unit-pair matrix has at most one non-zero entry per row and column, so
+    J's row 0 fixes its orbit (Seress, Permutation Group Algorithms, 2003,
+    ch. 2).  The least J that closes, permutation first and + before -, is
+    checked with matrix products; `candidates_tried` is its 1-based rank.
     """
-    if not 1 <= n <= 3:
-        raise ShapeError("exhaustive search supports sizes 1, 2 and 4 only")
+    if not 1 <= n <= MAX_COORDINATES:
+        raise ShapeError(f"J is derived for n from 1 to {MAX_COORDINATES}")
     size = 1 << (n - 1)
     bar_case = n % 2 == 0
-    unit_pairs = []
-    for k in range(n):
-        coords = [1 if i == k else 0 for i in range(n)]
-        zero = [0] * n
-        unit_pairs.append(suslin_pair(ZZ, coords, zero))
-        unit_pairs.append(suslin_pair(ZZ, zero, coords))
-    targets = []
-    for p in unit_pairs:
-        s = suslin(p)
-        target = suslin_bar(p) if bar_case else s
-        targets.append((s.transpose(), target))
-
-    tried = 0
-    for perm in itertools.permutations(range(size)):
-        for signs in itertools.product((1, -1), repeat=size):
-            tried += 1
-            rows = [[0] * size for _ in range(size)]
-            for i in range(size):
-                rows[i][perm[i]] = signs[i]
-            j = ScalarMatrix.of_ints(ZZ, rows)
-            jt = j.transpose()
-            if all(j * st * jt == target for st, target in targets):
-                if j * jt != ScalarMatrix.identity(size, ZZ):
-                    continue
-                return JMatrix(n, size, j, bar_case, tried)
-    raise DerivationError(f"no signed permutation of size {size} satisfies the identity")
+    pairs = [(suslin(p), (suslin_bar if bar_case else suslin)(p)) for p in _unit_pairs(n, ZZ)]
+    maps = [
+        ({k // size: (k % size, x) for k, x in enumerate(t.values) if x},
+         {k % size: (k // size, x) for k, x in enumerate(s.values) if x})
+        for s, t in pairs
+    ]
+    # row 0 fixes the rest and its sign flips them all: the first to close is least
+    starts = ((c, sign) for c in range(size) for sign in (1, -1))
+    rows = next(filter(None, (_propagate(maps, size, x) for x in starts)), None)
+    if rows is None:
+        raise DerivationError(f"no signed permutation of size {size} satisfies the identity")
+    j = ScalarMatrix(size, size, [sign * (c == k) for c, sign in rows for k in range(size)], ZZ)
+    if any(j * s.transpose() * j.transpose() != t for s, t in pairs):
+        raise DerivationError(f"the propagated J of size {size} fails the identity")
+    perm, signs = zip(*rows)
+    rank = 0  # the Lehmer index of perm, by Horner's rule in the factorial base
+    for i, c in enumerate(perm):
+        rank = rank * (size - i) + sum(q < c for q in perm[i + 1 :])
+    for sign in signs:
+        rank = 2 * rank + (sign < 0)
+    return JMatrix(n, size, j, bar_case, rank + 1)
 
 
 def suslin_embedding(n: int, ring: Ring) -> Embedding:
@@ -262,34 +284,19 @@ def suslin_embedding(n: int, ring: Ring) -> Embedding:
     if n < 2:
         raise ShapeError("rank-2 hyperbolic space does not fit into 1x1 matrices")
     space = hyperbolic(n, ring)
-    rho = []
-    for k in range(n):
-        coords = [1 if i == k else 0 for i in range(n)]
-        rho.append(suslin(suslin_pair(ring, coords, [0] * n)))
-    for k in range(n):
-        coords = [1 if i == k else 0 for i in range(n)]
-        rho.append(suslin(suslin_pair(ring, [0] * n, coords)))
-    alpha_rows = [[ring(0)] * (2 * n) for _ in range(2 * n)]
-    alpha_rows[0][n] = ring(1)
-    alpha_rows[n][0] = ring(1)
-    for i in range(1, n):
-        alpha_rows[i][i] = ring(-1)
-        alpha_rows[n + i][n + i] = ring(-1)
-    alpha = ScalarMatrix.from_rows(alpha_rows)
-    involution = None
-    a_star = None
-    if n <= 3:
-        j = derive_j(n)
-        a_star = j.star_map(ring)
-        involution = InvolutionForm(2 if j.bar_case else 1, ring.one)
+    rho = [suslin(p) for p in _unit_pairs(n, ring)]
+    values = [-int(i == j) for i in range(2 * n) for j in range(2 * n)]
+    values[0], values[n], values[2 * n * n], values[2 * n * n + n] = 0, 1, 1, 0
+    alpha = ScalarMatrix(2 * n, 2 * n, values, ring)
+    j = derive_j(n)
     return Embedding(
         space,
         ring,
         1 << (n - 1),
         rho,
         alpha,
-        involution=involution,
-        a_star=a_star,
+        involution=InvolutionForm(2 if j.bar_case else 1, ring.one),
+        a_star=j.star_map(ring),
     )
 
 
@@ -360,14 +367,7 @@ def catalog_generators(family: str, n: int, ring: Ring) -> list:
             ],
         )
         gens.append(block2(diag, zero, zero, -diag))
-    unit_pairs = []
-    for k in range(n):
-        unit = [1 if i == k else 0 for i in range(n)]
-        unit_pairs.append(suslin_pair(ring, unit, [0] * n))
-    for k in range(n):
-        unit = [1 if i == k else 0 for i in range(n)]
-        unit_pairs.append(suslin_pair(ring, [0] * n, unit))
-    for p in unit_pairs:
+    for p in _unit_pairs(n, ring):
         top = lift_scalar_matrix(suslin(p), algebra)
         bottom = lift_scalar_matrix(suslin_bar(p), algebra)
         gens.append(block2(zero, top, bottom, zero))

@@ -18,6 +18,9 @@ from quadembed.suslin import FAMILIES
 # a child interpreter started here finds the package the tests import
 PACKAGE_ROOT = Path(quadembed.__file__).parent.parent
 
+# a path whose directory does not exist
+MISSING_DIR = str(PACKAGE_ROOT / "no-such-directory")
+
 # a general (non-diagonal) rank-3 form over Z
 GENERAL_RANK3 = json.dumps(
     {"ring": "Z", "q": [["1", "2", "-1"], ["0", "-3", "1"], ["0", "0", "2"]]}
@@ -115,6 +118,11 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("suslin", "--v", "1/0", "--w", "1", "--ring", "q"),
         ("clifford", "mul", "--space", '{"ring": "Q", "q": [["1/0"]]}', "--a", "1:1", "--b", "1:1"),
         ("clifford", "mul", "--space", "diag:1", "--ring", "zmod:5", "--a", "0:1 mod 3", "--b", "0:1"),
+        # more coordinates than the Suslin size bound allows
+        ("suslin", "--v", ",".join("1" * 9), "--w", ",".join("0" * 9)),
+        # a report file that cannot be opened: refused before any suite runs
+        ("verify", "--suite", "catalog", "--samples", "1", "--emit", MISSING_DIR + "/report.json"),
+        ("verify", "--suite", "catalog", "--samples", "1", "--emit", str(PACKAGE_ROOT)),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -198,6 +206,14 @@ _ARGV = st.one_of(
         lambda family, n, ring: ["catalog", f"--family={family}", f"--n={n}", "--ring=" + ring],
         st.sampled_from(FAMILIES), st.sampled_from(["1", "2"]), _RING,
     ),
+    st.builds(
+        lambda suite, samples, ring, emit: ["verify", f"--suite={suite}", f"--samples={samples}",
+                                            "--ring=" + ring, *emit],
+        st.sampled_from(["suslin", "catalog"]), st.sampled_from([-1, 0, 1, 2]), _RING,
+        st.sampled_from([[], ["--emit=" + MISSING_DIR + "/report.json"]]),
+    ),
+    st.builds(lambda ring: ["iso", "--n=2", "--ring=" + ring], _RING),
+    st.sampled_from([-1, 0, 1, 2, 3, 9]).map(lambda n: ["derive-j", f"--n={n}"]),
 )
 
 

@@ -1,4 +1,4 @@
-"""The doubling recursion, its identities, the conjugator search, the
+"""The doubling recursion, its identities, the conjugator derivation, the
 hyperbolic matrix realisation, and the generator catalog."""
 
 import itertools
@@ -11,9 +11,11 @@ import pytest
 
 from quadembed.algmat import AlgMatrix, block2, lift_scalar_matrix
 from quadembed.clifford import extend_universal, monomial
-from quadembed.embedding import build_phi
+from quadembed.embedding import build_phi, lift_involution
 from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ, Zmod, rank_over_fractions
 from quadembed.suslin import (
+    MAX_COORDINATES,
+    SuslinPair,
     bar_pair,
     catalog_generators,
     catalog_space,
@@ -147,25 +149,58 @@ def test_derive_j_size_four():
 
 
 def test_derive_j_out_of_range():
-    with pytest.raises(ShapeError):
-        derive_j(4)
+    for n in (0, MAX_COORDINATES + 1):
+        with pytest.raises(ShapeError):
+            derive_j(n)
 
 
-def test_derive_j_searches_once_per_n(monkeypatch):
-    assert derive_j(3) is derive_j(3)
-    derive_j.cache_clear()
-    searches = []
-    permutations = itertools.permutations
+def test_derive_j_enumerates_no_permutations(monkeypatch):
+    # the J and the counts the lexicographic search over signed
+    # permutations found, which propagation must reproduce without it
+    def refuse(*args):
+        raise AssertionError("derive_j enumerated permutations")
 
-    def counted(*args):
-        searches.append(args)
-        return permutations(*args)
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    pinned = {
+        1: ([[1]], 1),
+        2: ([[0, 1], [-1, 0]], 6),
+        3: ([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], 119),
+    }
+    for n, (rows, tried) in pinned.items():
+        j = derive_j(n)
+        assert j.matrix == ScalarMatrix.of_ints(ZZ, rows)
+        assert j.candidates_tried == tried
 
-    monkeypatch.setattr(itertools, "permutations", counted)
-    suslin_embedding(3, QQ)
-    suslin_embedding(3, QQ)
-    assert len(searches) == 1
-    assert derive_j(3).candidates_tried <= 384
+
+def test_derive_j_beyond_the_search():
+    rng = random.Random(6)
+    for n in (4, 5, 6):
+        j = derive_j(n)
+        assert j.bar_case == (n % 2 == 0)
+        jm, jt = j.matrix, j.matrix.transpose()
+        assert jm * jt == ScalarMatrix.identity(j.size, ZZ)
+        for _ in range(5):
+            p = rand_pair(rng, ZZ, n)
+            target = suslin_bar(p) if j.bar_case else suslin(p)
+            assert jm * suslin(p).transpose() * jt == target
+
+
+def test_derive_j_counts_its_lexicographic_rank():
+    # the rank a signed-permutation search would have reached, counted here
+    # over itertools.permutations without building a matrix
+    j = derive_j(4)
+    values = j.matrix.values
+    rows = [next((c, values[i * 8 + c]) for c in range(8) if values[i * 8 + c]) for i in range(8)]
+    perm = tuple(c for c, _ in rows)
+    index = next(k for k, q in enumerate(itertools.permutations(range(8))) if q == perm)
+    bits = int("".join("1" if sign < 0 else "0" for _, sign in rows), 2)
+    assert j.candidates_tried == index * 2**8 + bits + 1 == 7368554
+
+
+def test_suslin_pair_size_is_bounded():
+    SuslinPair((ZZ.one,) * MAX_COORDINATES, (ZZ.zero,) * MAX_COORDINATES)
+    with pytest.raises(ShapeError, match=f"1 to {MAX_COORDINATES} coordinates"):
+        SuslinPair((ZZ.one,) * (MAX_COORDINATES + 1), (ZZ.zero,) * (MAX_COORDINATES + 1))
 
 
 def test_package_does_not_shadow_the_suslin_module():
@@ -212,6 +247,12 @@ def test_star_map_equals_the_matrix_conjugation():
                 assert star(m) == jr * m.transpose() * jr.transpose()
             with pytest.raises(ShapeError):
                 star(ScalarMatrix.identity(j.size + 1, ring))
+
+
+def test_rank_eight_embedding_lifts_its_involution():
+    e = suslin_embedding(4, ZZ)
+    assert e.involution.form == 2
+    lift_involution(e)
 
 
 def test_embedding_rejected_for_rank_two():
