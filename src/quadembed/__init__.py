@@ -8,7 +8,7 @@ from .scalars import (
     ShapeError,
     ZZ,
     Zmod,
-    rank_over_fractions,
+    rank_in_ring,
     solve_in_ring,
 )
 from .qspace import (
@@ -67,7 +67,7 @@ from .spin import EvenPair, GroupElement, SpinContext
 __all__ = [
     # scalars
     "QQ", "RingError", "Scalar", "ScalarMatrix", "ShapeError", "ZZ", "Zmod",
-    "rank_over_fractions", "solve_in_ring",
+    "rank_in_ring", "solve_in_ring",
     # qspace
     "QuadraticSpace", "diagonal_space", "find_isometry", "hyperbolic", "negate",
     "orthogonal_sum",

@@ -105,8 +105,6 @@ def _cmd_derive_j(args) -> int:
 
 def _cmd_iso(args) -> int:
     ring = _parse_ring(args.ring)
-    if ring not in (ZZ, QQ):
-        raise ValueError("the rank certificate needs ring z or q")
     phi = hyperbolic_clifford_iso(args.n, ring)
     monomials = 1 << (2 * args.n)
     _emit(
@@ -177,9 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="1 to 8")
     p.set_defaults(fn=_cmd_derive_j)
 
-    p = sub.add_parser("iso", help="certify the hyperbolic matrix realisation")
-    p.add_argument("--n", type=int, required=True, choices=(2, 3))
-    p.add_argument("--ring", default="q")
+    text = "certify the hyperbolic matrix realisation Cl(H^n) = M(2^n) over z, q or zmod:m"
+    p = sub.add_parser("iso", help=text, description=text)
+    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4), help="n = 4 ranks 256 images, about a second")
+    p.add_argument("--ring", default="q", help="z, q (default), or zmod:m")
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("catalog", help="emit a generator family")

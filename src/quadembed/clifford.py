@@ -9,17 +9,10 @@ a generator times an ordered monomial, valid for non-orthogonal forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .qspace import QuadraticSpace, orthogonal_sum
-from .scalars import (
-    QQ,
-    RingError,
-    Scalar,
-    ShapeError,
-    ZZ,
-    raw_row,
-    rank_over_fractions,
-)
+from .scalars import RingError, Scalar, ShapeError, rank_in_ring, raw_row
 
 RANK_LIMIT = 12
 
@@ -231,7 +224,8 @@ def pbw_basis(space: QuadraticSpace) -> list[CliffordElement]:
 
 
 class UniversalMap:
-    """Algebra map out of Cl(V, q) determined by images of the generators."""
+    """Algebra map out of Cl(V, q) determined by images of the generators;
+    injective when its monomial images are independent (`rank_in_ring`)."""
 
     def __init__(self, space: QuadraticSpace, images, one):
         self.space = space
@@ -246,6 +240,19 @@ class UniversalMap:
             value = self.images[low.bit_length() - 1] * self.image_of_mask(mask ^ low)
             self._mask_images[mask] = value
         return value
+
+    @property
+    def monomial_images(self) -> list:
+        """The images of the ordered monomials, in mask order."""
+        return [self.image_of_mask(m) for m in range(1 << self.space.rank)]
+
+    @cached_property
+    def monomial_rank(self) -> int:
+        return rank_in_ring(self.monomial_images, self.space.ring)
+
+    @property
+    def injective(self) -> bool:
+        return self.monomial_rank == 1 << self.space.rank
 
     def __call__(self, a: CliffordElement):
         if a.space != self.space:
@@ -307,6 +314,10 @@ class GradedTensorElement:
 
     def scale(self, s: Scalar):
         return GradedTensorElement(self.algebra, {mm: s * c for mm, c in self.terms.items()})
+
+    @property
+    def ring(self):
+        return self.algebra.ring
 
     def __mul__(self, other):
         if not isinstance(other, GradedTensorElement):
@@ -389,17 +400,12 @@ def check_graded_iso_sum(s1: QuadraticSpace, s2: QuadraticSpace) -> bool:
     """Verify that splitting an orthogonal sum into tensor slots is faithful.
 
     Sends each generator of Cl(s1 + s2) to x(x)1 or 1(x)x, checks the
-    generator relations inside the tensor algebra, then checks that all
-    monomial images stay linearly independent over the fraction field.
+    generator relations inside the tensor algebra, then certifies that all
+    monomial images stay independent over the base ring (Z, Q or Z/m).
     """
     if s1.rank > 4 or s2.rank > 4:
         raise ShapeError("rank capped at 4 per factor")
-    if s1.ring not in (ZZ, QQ):
-        raise RingError("independence check needs Z or Q coefficients")
-    total = orthogonal_sum(s1, s2)
     alg = GradedTensorAlgebra(s1, s2)
     images = [alg.left(monomial(s1, 1 << i)) for i in range(s1.rank)]
     images += [alg.right(monomial(s2, 1 << i)) for i in range(s2.rank)]
-    phi = extend_universal(total, images, alg.one())
-    images = [phi.image_of_mask(mask) for mask in range(1 << total.rank)]
-    return rank_over_fractions(images) == 1 << total.rank
+    return extend_universal(orthogonal_sum(s1, s2), images, alg.one()).injective

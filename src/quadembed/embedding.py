@@ -18,7 +18,6 @@ from .algmat import (
     algebra_basis,
     block2,
     lift_scalar_matrix,
-    parity_of_block_matrix,
     span_coords,
 )
 from .clifford import (
@@ -29,16 +28,7 @@ from .clifford import (
     standard_involution,
 )
 from .qspace import QuadraticSpace
-from .scalars import (
-    QQ,
-    RingError,
-    Scalar,
-    ScalarMatrix,
-    ShapeError,
-    SpanSolver,
-    ZZ,
-    rank_over_fractions,
-)
+from .scalars import RingError, Scalar, ScalarMatrix, ShapeError, SpanSolver
 
 
 class EmbeddingError(ValueError):
@@ -242,39 +232,14 @@ def validate_embedding(e: Embedding) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
-class PhiMap:
-    """The induced algebra map into doubled block matrices over A."""
-
-    def __init__(self, e: Embedding, universal: UniversalMap, images):
-        self.embedding = e
-        self.universal = universal
-        self.images = list(images)
-        n = e.space.rank
-        self.monomial_images = [universal.image_of_mask(m) for m in range(1 << n)]
-        self.graded = all(
-            parity_of_block_matrix(img) == bin(mask).count("1") % 2
-            for mask, img in enumerate(self.monomial_images)
-        )
-        self.monomial_rank = rank_over_fractions(self.monomial_images)
-        self.injective = self.monomial_rank == 1 << n
-
-    def __call__(self, x: CliffordElement):
-        return self.universal(x)
-
-    @property
-    def one(self):
-        return self.universal.one
-
-
-def build_phi(e: Embedding) -> PhiMap:
+def build_phi(e: Embedding) -> UniversalMap:
     """Map generators to the doubled antidiagonal blocks and extend.
 
-    Requires a validated embedding over Z or Q with a non-degenerate form;
-    raises InjectivityError if the monomial images become dependent (which
-    the theory rules out for non-degenerate forms).
+    Requires a validated embedding with a non-degenerate form, over Z, Q
+    or Z/m; raises InjectivityError if the monomial images become
+    dependent over the ring (which the theory rules out for
+    non-degenerate forms).
     """
-    if e.ring not in (ZZ, QQ):
-        raise EmbeddingError("doubled map needs Z or Q coefficients")
     report = validate_embedding(e)
     if not report.passed:
         raise EmbeddingError(f"embedding axioms fail: {report.failures}")
@@ -286,9 +251,7 @@ def build_phi(e: Embedding) -> PhiMap:
         for i in range(e.space.rank)
     ]
     one = e.identity_matrix()
-    one = block2(one, zero, zero, one)
-    universal = extend_universal(e.space, images, one)
-    phi = PhiMap(e, universal, images)
+    phi = extend_universal(e.space, images, block2(one, zero, zero, one))
     if not phi.injective:
         raise InjectivityError(
             f"monomial image rank {phi.monomial_rank} < {1 << e.space.rank}"
@@ -422,15 +385,14 @@ def involutions_conflict_check(e: Embedding, witness=None) -> bool | None:
     return None
 
 
-def standard_involution_restriction(e: Embedding, phi: PhiMap | None = None) -> bool | None:
+def standard_involution_restriction(e: Embedding) -> bool | None:
     """Whether the reversal involution of the Clifford algebra restricts to A.
 
     Needs every diag(a, a), for a in a module basis of A, to be certified
     inside the image of the doubled map; returns None when some diagonal
     escapes that image, True/False otherwise.
     """
-    if phi is None:
-        phi = build_phi(e)
+    phi = build_phi(e)
     solver = SpanSolver(phi.monomial_images, e.ring)
     zero = e.zero_matrix()
     for a in algebra_basis(e.algebra, e.dim):

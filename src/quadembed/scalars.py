@@ -647,17 +647,61 @@ def solve_in_ring(a: ScalarMatrix, b) -> list[Scalar] | None:
 def rank_over_fractions(a) -> int:
     """Rank over the fraction field of a ScalarMatrix over Z or Q, or of
     the matrix whose rows are a list of vectors over Z or Q, each read by
-    `raw_row`.  Elimination runs on each row cleared of its own least
-    denominator, which leaves the rank alone."""
-    if not isinstance(a, ScalarMatrix):
-        rows = [list(raw_row(v, QQ)[0]) for v in a]
-    elif isinstance(a.ring, ModularRing):
-        raise RingError("rank over fractions is not defined for modular rings")
-    else:
-        rows = a._elimination_rows()[0]
+    `raw_row`; a vector over Z/m is refused, its ring read without boxing.
+    Elimination runs on each row cleared of its own least denominator,
+    which leaves the rank alone."""
+    matrix = isinstance(a, ScalarMatrix)
+    for v in [a] if matrix else a:
+        if isinstance(v.ring if hasattr(v, "ring") else v[0].ring, ModularRing):
+            raise RingError("rank over fractions is not defined for modular rings")
+    rows = a._elimination_rows()[0] if matrix else [list(raw_row(v, QQ)[0]) for v in a]
     pivots = []
     _bareiss(rows, range(len(rows[0])), pivots, jordan=False)
     return len(pivots)
+
+
+def rank_in_ring(vectors, ring: Ring) -> int:
+    """McCoy's rank (Rings and Ideals, 1948) over `ring` of a ScalarMatrix
+    or of the rows of a list of vectors `raw_row` reads; rows are certified
+    independent when it equals their number.  Over Z and Q it is the rank
+    over Q; over Z/m the least rank mod a prime p | m, without factoring m."""
+    if not isinstance(ring, ModularRing):
+        return rank_over_fractions(vectors)
+    matrix = isinstance(vectors, ScalarMatrix)
+    rows = vectors._elimination_rows()[0] if matrix else [raw_row(v, ring)[0] for v in vectors]
+    return _mccoy_rank(rows, ring.modulus)
+
+
+def _mccoy_rank(rows, m: int):
+    """Least rank mod a prime p | m of integer rows, infinity for m = 1.  A
+    unit pivot eliminates mod m; a column with non-zero entries but no unit
+    splits m at one of them, a, into m2, m with the primes of gcd(a, m)
+    divided out, where a is a unit, and m1 = m / m2, where a vanishes mod
+    every prime and is zeroed.  Each split shrinks m or the non-zeros."""
+    if m == 1:
+        return math.inf
+    rows = [[x % m for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        nz = [i for i in range(rank, len(rows)) if rows[i][c]]
+        p = next((i for i in nz if math.gcd(rows[i][c], m) == 1), None)
+        if nz and p is None:
+            m2, i = m, nz[0] - rank
+            while (g := math.gcd(rows[nz[0]][c], m2)) > 1:
+                m2 //= g
+            rest = rows[rank:]
+            rest[i] = rest[i][:c] + [0] + rest[i][c + 1 :]
+            return rank + min(_mccoy_rank(rows[rank:], m2), _mccoy_rank(rest, m // m2))
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        inv = pow(rows[rank][c], -1, m)
+        for i in nz:
+            f = rows[i][c] * inv % m
+            if f and i != rank:
+                rows[i] = [(x - f * y) % m for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 class SpanSolver:

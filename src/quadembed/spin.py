@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from .algmat import block2
 from .embedding import Embedding, build_phi, lift_involution
 from .qspace import random_vector
-from .scalars import (
-    QQ,
-    Scalar,
-    ScalarMatrix,
-    ShapeError,
-    SpanSolver,
-    ZZ,
-    rank_over_fractions,
-)
+from .scalars import Scalar, ScalarMatrix, ShapeError, SpanSolver, rank_in_ring
 
 
 class SpinError(ValueError):
@@ -51,13 +43,12 @@ class GroupElement:
 
 class SpinContext:
     """Caches the doubled map, the lifted involution and the span solvers
-    for one embedding, so group membership tests stay cheap."""
+    for one embedding over Z, Q or Z/m, so group membership tests stay
+    cheap."""
 
     def __init__(self, e: Embedding):
         if not e.scalar_entries:
             raise SpinError("spin machinery needs scalar matrix coefficients")
-        if e.ring not in (ZZ, QQ):
-            raise SpinError("spin machinery runs over Z or Q")
         if e.involution is None or e.involution.form != 1 or e.involution.u != e.ring.one:
             raise SpinError("need a form-1 involution fixing the embedded vectors")
         self.embedding = e
@@ -202,8 +193,11 @@ class SpinContext:
         return out
 
     def sample_group_element(self, rng: random.Random, allow_scaling: bool = False) -> ScalarMatrix:
+        """An elementary product; with `allow_scaling`, scaled by 2, 3 or 4
+        half the time, over every ring: lemma 4.4 and the norm rule need
+        g g* in V, not g invertible."""
         g = self.sample_elementary_product(rng)
-        if allow_scaling and self.ring is QQ and rng.random() < 0.5:
+        if allow_scaling and rng.random() < 0.5:
             g = g.scale(self.ring(rng.choice([2, 3, 4])))
         return g
 
@@ -250,9 +244,10 @@ class SpinContext:
             rng = random.Random(skey)
             while True:
                 v = random_vector(rng, self.space)
-                if rank_over_fractions([self.one_coords, v]) == 2:
+                if rank_in_ring([self.one_coords, v], self.ring) == 2:
                     break
-            r = self.ring(rng.choice([x for x in range(-4, 5) if x]))
+            # r must be non-zero in the ring, or the perturbation is none
+            r = self.ring(rng.choice([x for x in range(-4, 5) if not self.ring(x).is_zero]))
             mv = e.rho_of(v)
             mbar = e.rho_bar_of(v)
             perturbed = mbar + one.scale(r)

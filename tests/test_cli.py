@@ -263,6 +263,70 @@ def test_verify_emit_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_iso_certifies_over_z_mod_m_and_at_n_4(capsys):
+    for argv, rank in (
+        (("iso", "--n", "2", "--ring", "zmod:6"), 16),
+        (("iso", "--n", "4"), 256),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["rank"] == data["monomials"] == rank
+        assert data["isomorphism"] is True
+
+
+def test_verify_over_z_mod_2_skips_two_involution_claims(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--samples", "2", "--ring", "zmod:2")
+    assert code == 0
+    checks = {c["name"]: c for s in json.loads(out)["suites"] for c in s["checks"]}
+    skipped = checks["involution_structure"]["info"]["skipped"]
+    assert sorted(skipped) == ["u=-1 lift", "witness"]
+    assert all(reason.startswith("2 = 0") for reason in skipped.values())
+    assert [name for name, c in checks.items() if "skipped" in c["info"]] == ["involution_structure"]
+
+
+def test_verify_over_z_mod_3_draws_non_zero_perturbations(capsys):
+    # lemma 4.1 perturbs by r in +-1..+-4; r = 3 would be zero over Z/3
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spin", "--samples", "3", "--ring", "zmod:3")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_every_check_runs_over_the_ring_the_report_names(monkeypatch):
+    """Every rank certificate and span solve of a Z/6 run is over Z/6."""
+    import quadembed.scalars as scalars
+    from quadembed.suites import run_suites
+
+    seen = []
+    real_init, real_rank, real_fractions = (
+        scalars.SpanSolver.__init__, scalars.rank_in_ring, scalars.rank_over_fractions
+    )
+
+    def span_init(self, columns, ring):
+        seen.append(("span", ring))
+        real_init(self, columns, ring)
+
+    def rank_in_ring(vectors, ring):
+        seen.append(("rank", ring))
+        return real_rank(vectors, ring)
+
+    def rank_over_fractions(a):
+        seen.append(("fractions", None))
+        return real_fractions(a)
+
+    monkeypatch.setattr(scalars.SpanSolver, "__init__", span_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quadembed"):
+            if getattr(module, "rank_in_ring", None) is real_rank:
+                monkeypatch.setattr(module, "rank_in_ring", rank_in_ring)
+            if getattr(module, "rank_over_fractions", None) is real_fractions:
+                monkeypatch.setattr(module, "rank_over_fractions", rank_over_fractions)
+    ring = scalars.Zmod(6)
+    assert run_suites("all", 0, 2, ring)["passed"]
+    assert {kind for kind, _ in seen} == {"span", "rank"}
+    assert {r for _, r in seen} == {ring}
+
+
 def test_verify_report_digests_are_pinned(capsys):
     """The whole report of a fixed configuration, byte for byte, against the
     digests recorded before the scalar matrix types were merged (Z, Q),

@@ -285,6 +285,14 @@ def test_graded_iso_sum_examples():
     assert check_graded_iso_sum(hyperbolic(1, QQ), hyperbolic(1, QQ))
 
 
+def test_graded_iso_sum_over_z_mod_6():
+    # independence is certified over Z/6 itself, mod 2 and mod 3
+    ring = Zmod(6)
+    neg = diagonal_space([-1], ring)
+    assert check_graded_iso_sum(neg, neg)
+    assert check_graded_iso_sum(hyperbolic(1, ring), hyperbolic(1, ring))
+
+
 def test_graded_iso_sum_rank_guard():
     big = diagonal_space([1] * 5, QQ)
     with pytest.raises(ShapeError):

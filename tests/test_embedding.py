@@ -6,7 +6,7 @@ import random
 import pytest
 
 from quadembed.algmat import parity_of_block_matrix
-from quadembed.clifford import CliffordElement, standard_involution
+from quadembed.clifford import CliffordElement, extend_universal, standard_involution
 from quadembed.embedding import (
     ClosureError,
     Embedding,
@@ -23,7 +23,7 @@ from quadembed.embedding import (
     validate_embedding,
 )
 from quadembed.qspace import QuadraticSpace, diagonal_space, hyperbolic
-from quadembed.scalars import QQ, ScalarMatrix, ZZ
+from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod
 from quadembed.suslin import suslin_embedding
 
 
@@ -77,9 +77,29 @@ def test_build_phi_generator_squares():
 def test_build_phi_graded_and_injective():
     for n, ring in ((2, QQ), (3, QQ), (2, ZZ)):
         phi = build_phi(suslin_embedding(n, ring))
-        assert phi.graded
+        assert all(
+            parity_of_block_matrix(img) == bin(mask).count("1") % 2
+            for mask, img in enumerate(phi.monomial_images)
+        )
         assert phi.injective
         assert phi.monomial_rank == 1 << (2 * n)
+
+
+def test_build_phi_over_z_mod_m():
+    for ring in (Zmod(7), Zmod(6)):
+        phi = build_phi(suslin_embedding(3, ring))
+        assert phi.injective
+        assert phi.monomial_rank == 64
+
+
+def test_universal_map_certificate_sees_a_dependent_monomial():
+    # e1 -> 0 respects q = 0, but sends the monomial e1 to zero
+    ring = Zmod(6)
+    space = diagonal_space([0], ring)
+    zero, one = ScalarMatrix.zero(1, 1, ring), ScalarMatrix.identity(1, ring)
+    phi = extend_universal(space, [zero], one)
+    assert phi.monomial_rank == 1
+    assert not phi.injective
 
 
 def test_build_phi_rejects_degenerate_space():

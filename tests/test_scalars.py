@@ -20,6 +20,7 @@ from quadembed.scalars import (
     ZZ,
     Zmod,
     parse_scalar,
+    rank_in_ring,
     rank_over_fractions,
     solve_in_ring,
 )
@@ -168,6 +169,62 @@ def test_rank_matches_rref_oracle_on_random_matrices():
             rows.append([rng.randint(-5, 5) for _ in range(width)])
         m = ScalarMatrix.of_ints(ZZ, rows)
         assert rank_over_fractions(m) == rref_rank(rows)
+
+
+def rank_mod_prime(rows, p):
+    """Independent rank oracle over the field Z/p: row reduction mod p."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_in_ring_is_the_least_rank_mod_a_prime_dividing_m():
+    """McCoy's rank over Z/m against brute force: the least rank mod a
+    prime p | m, on matrices rich in zero divisors and nilpotents."""
+    rng = random.Random(17)
+    for _ in range(400):
+        m = rng.randint(2, 60)
+        primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        pool = [0, 0, 1, m - 1, *primes, m // primes[0], rng.randrange(m)]
+        rows = [[rng.choice(pool) % m for _ in range(c)] for _ in range(r)]
+        want = min(rank_mod_prime(rows, p) for p in primes)
+        ring = Zmod(m)
+        assert rank_in_ring(ScalarMatrix.of_ints(ring, rows), ring) == want, (m, rows)
+        assert rank_in_ring([ints(ring, row) for row in rows], ring) == want, (m, rows)
+
+
+def test_rank_in_ring_worked_cases():
+    z6 = Zmod(6)
+    # 2 vanishes mod 2, so the McCoy rank of [2] is 0 although 2 != 0
+    assert rank_in_ring([ints(z6, [2])], z6) == 0
+    # [2] and [3] are each dependent mod one prime of 6, together rank 1
+    assert rank_in_ring([ints(z6, [2]), ints(z6, [3])], z6) == 1
+    rows = [ScalarMatrix.of_ints(z6, [[2, 3]]), ScalarMatrix.of_ints(z6, [[4, 0]])]
+    assert rank_in_ring(rows, z6) == 1
+    # over Z and Q the certificate is the rank over Q
+    assert rank_in_ring([ints(ZZ, [2, 3]), ints(ZZ, [4, 0])], ZZ) == 2
+    assert rank_in_ring(ScalarMatrix.of_ints(QQ, [[1, 2], [2, 4]]), QQ) == 1
+
+
+def test_rank_over_fractions_refuses_modular_vectors():
+    z6 = Zmod(6)
+    rows = [ScalarMatrix.of_ints(z6, [[2, 3]]), ScalarMatrix.of_ints(z6, [[4, 0]])]
+    with pytest.raises(RingError):
+        rank_over_fractions(rows)  # ranking the residues over Q would give 2
+    with pytest.raises(RingError):
+        rank_over_fractions([ints(z6, [2, 3]), ints(z6, [4, 0])])
 
 
 def test_rank_transpose_invariant():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quadembed.qspace import random_vector
-from quadembed.scalars import QQ, ScalarMatrix, ZZ
+from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod
 from quadembed.spin import EvenPair, SpinContext, SpinError
 from quadembed.suslin import suslin_embedding
 
@@ -199,6 +199,25 @@ def test_lemma_checks_seed_zero():
     assert [r.lemma for r in reports] == ["4.1", "4.2", "4.3", "4.4"]
     for r in reports:
         assert r.passed, r.to_json()
+
+
+def test_context_over_z_mod_m():
+    for ring in (Zmod(6), Zmod(3)):
+        ctx = SpinContext(suslin_embedding(3, ring))
+        for r in ctx.lemma_checks(0, 10):
+            assert r.passed, (ring, r.to_json())
+        rng = random.Random(4)
+        for _ in range(10):
+            pair = ctx.chi_inverse(ctx.sample_elementary_product(rng))
+            assert ctx.is_in_spin(pair)
+
+
+def test_scaled_samples_leave_norm_one_on_every_ring():
+    for ring in (ZZ, Zmod(7)):
+        ctx = SpinContext(suslin_embedding(3, ring))
+        rng = random.Random(9)
+        norms = {ctx.norm_d(ctx.sample_group_element(rng, allow_scaling=True)) for _ in range(20)}
+        assert norms - {ring.one}
 
 
 def test_lemma_scalar_case_forced():

@@ -304,6 +304,11 @@ def test_iso_is_unimodular_over_z():
         assert len(rows) == size
 
 
+def test_iso_states_its_cap_and_cost():
+    with pytest.raises(ShapeError, match=r"\{2, 3, 4\}.*1,024"):
+        hyperbolic_clifford_iso(5, QQ)
+
+
 def test_iso_rejects_rank_two():
     with pytest.raises(ShapeError):
         hyperbolic_clifford_iso(1, QQ)
