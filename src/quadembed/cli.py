@@ -11,7 +11,7 @@ import json
 import sys
 
 from .algmat import matrix_json
-from .clifford import CliffordElement
+from .clifford import RANK_LIMIT, CliffordElement
 from .qspace import QuadraticSpace, diagonal_space, hyperbolic
 from .scalars import QQ, Ring, RingError, ShapeError, ZZ, Zmod, json_field, parse_scalar
 from .suites import SUITES, run_suites
@@ -42,13 +42,26 @@ def _parse_vector(text: str, ring: Ring):
     return [parse_scalar(part, ring) for part in text.split(",")]
 
 
+def _check_rank(rank: int) -> None:
+    if rank > RANK_LIMIT:
+        raise ShapeError(f"space rank {rank} exceeds the monomial-mask cap of {RANK_LIMIT}")
+
+
 def _parse_space(text: str, ring: Ring) -> QuadraticSpace:
+    # hyp:N and diag: are checked before their rank**2 form is built; a JSON
+    # form is as large as its text
     if text.startswith("{"):
-        return QuadraticSpace.from_json(json.loads(text))
+        space = QuadraticSpace.from_json(json.loads(text))
+        _check_rank(space.rank)
+        return space
     if text.startswith("hyp:"):
-        return hyperbolic(int(text.split(":", 1)[1]), ring)
+        n = int(text.split(":", 1)[1])
+        _check_rank(2 * n)
+        return hyperbolic(n, ring)
     if text.startswith("diag:"):
-        return diagonal_space(_parse_vector(text.split(":", 1)[1], ring), ring)
+        coefficients = _parse_vector(text.split(":", 1)[1], ring)
+        _check_rank(len(coefficients))
+        return diagonal_space(coefficients, ring)
     raise ValueError(f"cannot parse space {text!r}; use hyp:N, diag:c1,..,cn or JSON")
 
 
@@ -165,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clifford", help="Clifford algebra computations")
     csub = p.add_subparsers(dest="clifford_command", required=True)
     pm = csub.add_parser("mul", help="multiply two elements")
-    pm.add_argument("--space", required=True, help="hyp:N, diag:c1,..,cn or JSON")
+    pm.add_argument("--space", required=True, help=f"hyp:N, diag:c1,..,cn or JSON, rank at most {RANK_LIMIT}")
     pm.add_argument("--a", required=True, help="element as mask:coeff[,mask:coeff..]")
     pm.add_argument("--b", required=True)
     pm.add_argument("--ring", default=None)

@@ -73,7 +73,9 @@ class Embedding:
     """Images of a quadratic space's basis inside a matrix algebra.
 
     `algebra` is the entry algebra: the base ring itself for ScalarMatrix
-    images, a CliffordCoeffs for AlgMatrix images."""
+    images, a CliffordCoeffs for AlgMatrix images.  An embedding is treated
+    as immutable once built: it keeps its span solver, its certified doubled
+    map and its involution lifts, each computed on first use."""
 
     def __init__(
         self,
@@ -107,6 +109,8 @@ class Embedding:
         self.involution = involution
         self.a_star = a_star
         self._v_span = None
+        self._phi = None
+        self._lifts = {}
 
     @property
     def ring(self):
@@ -238,8 +242,11 @@ def build_phi(e: Embedding) -> UniversalMap:
     Requires a validated embedding with a non-degenerate form, over Z, Q
     or Z/m; raises InjectivityError if the monomial images become
     dependent over the ring (which the theory rules out for
-    non-degenerate forms).
+    non-degenerate forms).  The certified map is kept on `e`, so later
+    calls return the same object; a failure is not kept and raises again.
     """
+    if e._phi is not None:
+        return e._phi
     report = validate_embedding(e)
     if not report.passed:
         raise EmbeddingError(f"embedding axioms fail: {report.failures}")
@@ -256,6 +263,7 @@ def build_phi(e: Embedding) -> UniversalMap:
         raise InjectivityError(
             f"monomial image rank {phi.monomial_rank} < {1 << e.space.rank}"
         )
+    e._phi = phi
     return phi
 
 
@@ -326,7 +334,8 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
     be u*rho, form 2 requires u*bar(rho).  The entry involution itself is
     verified to be an order-2 anti-automorphism on a module basis of A,
     which carries the same properties to the lifted map; finally the lift
-    must negate every doubled image of a basis vector.
+    must negate every doubled image of a basis vector.  Each lift is kept
+    on `e` under its form; a rejected form is not kept and raises again.
     """
     if e.a_star is None:
         raise InvolutionError("no entry involution available on the algebra")
@@ -334,6 +343,9 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
         form = e.involution
     if form is None:
         raise InvolutionError("no involution form supplied")
+    lifted = e._lifts.get(form)
+    if lifted is not None:
+        return lifted
     star = e.a_star
     u = form.u
 
@@ -363,6 +375,7 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
             raise InvolutionError(
                 f"lifted involution does not negate basis image {i+1}", basis_index=i
             )
+    e._lifts[form] = lifted
     return lifted
 
 

@@ -42,9 +42,9 @@ class GroupElement:
 
 
 class SpinContext:
-    """Caches the doubled map, the lifted involution and the span solvers
-    for one embedding over Z, Q or Z/m, so group membership tests stay
-    cheap."""
+    """The doubled map and lifted involution of one embedding over Z, Q or
+    Z/m (both kept on the embedding) plus cached span solvers, so group
+    membership tests stay cheap."""
 
     def __init__(self, e: Embedding):
         if not e.scalar_entries:

@@ -23,6 +23,7 @@ from .clifford import (
     standard_involution,
 )
 from .embedding import (
+    Embedding,
     InvolutionError,
     InvolutionForm,
     build_phi,
@@ -44,7 +45,6 @@ from .suslin import (
     catalog_generators,
     check_suslin_identities,
     derive_j,
-    hyperbolic_clifford_iso,
     suslin,
     suslin_bar,
     suslin_embedding,
@@ -56,15 +56,27 @@ SUITES = ("suslin", "clifford", "embedding", "spin", "catalog")
 
 @dataclass
 class SuiteConfig:
+    """One suite of a run.  `beds` holds the Suslin beds, which depend only
+    on the ring; `run_suites` hands one store to every suite of a run, so
+    each bed is built and certified once per run."""
+
     suite: str
     seed: int = 0
     samples: int = 100
     ring: Ring = ZZ
+    beds: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def suslin_bed(self, n: int) -> Embedding:
+        """`suslin_embedding(n, ring)`, built once per run."""
+        if n not in self.beds:
+            self.beds[n] = suslin_embedding(n, self.ring)
+        return self.beds[n]
 
     @cached_property
     def spin_bed(self) -> SpinContext:
-        """The registered rank-6 bed over the run's ring, built once per suite run."""
-        return SpinContext(suslin_embedding(3, self.ring))
+        """The registered rank-6 bed over the run's ring, on the run's shared
+        Suslin bed; only the spin suite reads it, so it is built once per run."""
+        return SpinContext(self.suslin_bed(3))
 
 
 @dataclass
@@ -313,7 +325,7 @@ def _clifford_suslin_rank(cfg: SuiteConfig) -> CheckResult:
     failures = []
     ranks = {}
     for n in (2, 3):
-        phi = hyperbolic_clifford_iso(n, cfg.ring)
+        phi = build_phi(cfg.suslin_bed(n))
         ranks[str(n)] = phi.monomial_rank
         if phi.monomial_rank != 1 << (2 * n):
             failures.append({"n": n, "rank": phi.monomial_rank})
@@ -327,8 +339,8 @@ def _embedding_beds(cfg: SuiteConfig, rng):
     beds = [
         clifford_self_embedding(hyperbolic(1, cfg.ring)),
         clifford_self_embedding(random_space(rng, cfg.ring, 3)),
-        suslin_embedding(2, cfg.ring),
-        suslin_embedding(3, cfg.ring),
+        cfg.suslin_bed(2),
+        cfg.suslin_bed(3),
     ]
     return beds
 
@@ -389,7 +401,7 @@ def _embedding_unit_trace(cfg: SuiteConfig) -> CheckResult:
     rng = _rng(cfg, "unit_trace")
     failures = []
     for n in (2, 3):
-        bed = suslin_embedding(n, cfg.ring)
+        bed = cfg.suslin_bed(n)
         one = bed.identity_matrix()
         solver = SpanSolver([one], cfg.ring)
         for i in range(cfg.samples):
@@ -404,8 +416,8 @@ def _embedding_lifted_involution(cfg: SuiteConfig) -> CheckResult:
     rng = _rng(cfg, "lifted_involution")
     failures = []
     beds = [
-        suslin_embedding(2, cfg.ring),
-        suslin_embedding(3, cfg.ring),
+        cfg.suslin_bed(2),
+        cfg.suslin_bed(3),
         clifford_self_embedding(hyperbolic(1, cfg.ring)),
     ]
     for bed in beds:
@@ -435,10 +447,10 @@ def _embedding_lifted_involution(cfg: SuiteConfig) -> CheckResult:
 
 def _embedding_conflict(cfg: SuiteConfig) -> CheckResult:
     failures = []
-    bed = suslin_embedding(2, cfg.ring)
+    bed = cfg.suslin_bed(2)
     if involutions_conflict_check(bed) is not True:
         failures.append({"bed": repr(bed)})
-    if check_alpha_order_two(suslin_embedding(3, cfg.ring)) is not True:
+    if check_alpha_order_two(cfg.suslin_bed(3)) is not True:
         failures.append({"identity": "alpha_order_two"})
     witness = [1, 0, 1, 1]  # bar moves it, unless 2 = 0
     if cfg.ring(2).is_zero:
@@ -447,7 +459,7 @@ def _embedding_conflict(cfg: SuiteConfig) -> CheckResult:
     if involutions_conflict_check(bed, witness) is not True:
         failures.append({"bed": repr(bed), "witness": witness})
     try:
-        lift_involution(suslin_embedding(3, cfg.ring), InvolutionForm(1, cfg.ring(-1)))
+        lift_involution(cfg.suslin_bed(3), InvolutionForm(1, cfg.ring(-1)))
         failures.append({"identity": "u=-1 lift must be rejected"})
     except InvolutionError:
         pass
@@ -459,14 +471,14 @@ def _embedding_bridge(cfg: SuiteConfig) -> CheckResult:
     rng = _rng(cfg, "bridge")
     failures = []
     for n in (2, 3):
-        bed = suslin_embedding(n, cfg.ring)
+        bed = cfg.suslin_bed(n)
         phi = build_phi(bed)
         star = lift_involution(bed)
         for i in range(max(1, cfg.samples // 4)):
             a = random_element(rng, bed.space, max_terms=3, bound=3)
             if phi(standard_involution(a)) != star(phi(a)):
                 failures.append({"n": n, "index": i})
-    restriction = standard_involution_restriction(suslin_embedding(2, cfg.ring))
+    restriction = standard_involution_restriction(cfg.suslin_bed(2))
     if restriction is not True:
         failures.append({"identity": "restriction_to_A", "got": restriction})
     return _result("involution_bridge", failures)
@@ -589,9 +601,10 @@ def run_suite(cfg: SuiteConfig) -> dict:
 
 def run_suites(suite: str, seed: int, samples: int, ring: Ring) -> dict:
     names = list(SUITES) if suite == "all" else [suite]
+    beds = {}
     reports = []
     for name in sorted(names):
-        cfg = SuiteConfig(suite=name, seed=seed, samples=samples, ring=ring)
+        cfg = SuiteConfig(suite=name, seed=seed, samples=samples, ring=ring, beds=beds)
         reports.append(run_suite(cfg))
     return {
         "config": {"suite": suite, "seed": seed, "samples": samples, "ring": ring.name},

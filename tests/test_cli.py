@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import quadembed
 from quadembed.cli import main
+from quadembed.clifford import RANK_LIMIT
 from quadembed.suslin import FAMILIES
 
 # a child interpreter started here finds the package the tests import
@@ -128,6 +129,19 @@ def test_bad_input_exits_2_with_one_line(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # a rank above the monomial-mask cap names the cap; hyp:N and diag: are
+    # refused before their rank**2 form is built, so rank 10**5 answers at once
+    for space in ("hyp:7", "hyp:100000", "diag:" + ",".join("1" * 13),
+                  "diag:" + ",".join("1" * 100000),
+                  json.dumps({"ring": "Z", "q": [["0"] * 13] * 13})):
+        code, out, err = run_cli(capsys, "clifford", "mul", "--space", space, "--a", "1:1", "--b", "1:1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"cap of {RANK_LIMIT}" in err
+    for space in ("hyp:6", "diag:" + ",".join("1" * 12)):
+        code, out, err = run_cli(capsys, "clifford", "mul", "--space", space, "--a", "1:1", "--b", "1:1")
+        assert code == 0 and err == ""
     # malformed JSON names the field at fault
     for argv, field in (
         (("--space", "{}", "--a", "1:1"), "'ring'"),
@@ -174,7 +188,7 @@ def _json_space(ring, rows):
 
 
 _SPACE = st.one_of(
-    st.sampled_from(["1", "2", "1", "2", "0", "-1", "x", ""]).map("hyp:".__add__),
+    st.sampled_from(["1", "2", "1", "2", "0", "-1", "x", "", "7", "100000"]).map("hyp:".__add__),
     _VECTOR.map("diag:".__add__),
     st.builds(
         _json_space,
@@ -325,6 +339,51 @@ def test_every_check_runs_over_the_ring_the_report_names(monkeypatch):
     assert run_suites("all", 0, 2, ring)["passed"]
     assert {kind for kind, _ in seen} == {"span", "rank"}
     assert {r for _, r in seen} == {ring}
+
+
+def test_a_run_certifies_each_suslin_bed_once(monkeypatch):
+    """One `run_suites` builds each Suslin bed once and ranks the 64
+    monomial images of the rank-6 bed once, however many checks use them."""
+    import quadembed.scalars as scalars
+    import quadembed.suslin as suslin
+    from quadembed.suites import run_suites
+
+    real_embedding, real_rank = suslin.suslin_embedding, scalars.rank_in_ring
+    built, certified = [], []
+
+    def suslin_embedding(n, ring):
+        built.append(n)
+        return real_embedding(n, ring)
+
+    def rank_in_ring(vectors, ring):
+        # the catalog's even2n2 family at n = 2 ranks 64 Clifford-entry images
+        if isinstance(vectors, list) and len(vectors) == 64 and isinstance(vectors[0], scalars.ScalarMatrix):
+            certified.append(vectors[0].dim)
+        return real_rank(vectors, ring)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quadembed"):
+            for real, spy in ((real_embedding, suslin_embedding), (real_rank, rank_in_ring)):
+                if getattr(module, real.__name__, None) is real:
+                    monkeypatch.setattr(module, real.__name__, spy)
+    for ring in (scalars.ZZ, scalars.Zmod(6)):
+        built.clear()
+        certified.clear()
+        assert run_suites("all", 0, 2, ring)["passed"]
+        assert sorted(built) == [2, 3]
+        assert certified == [8]
+
+
+def test_shared_beds_leak_nothing_between_suites():
+    """Each suite's section of a whole run is the report of that suite alone."""
+    from quadembed.scalars import ZZ, Zmod
+    from quadembed.suites import SUITES, run_suites
+
+    for ring in (ZZ, Zmod(6)):
+        for seed in (0, 1):
+            sections = {r["suite"]: r for r in run_suites("all", seed, 2, ring)["suites"]}
+            for name in SUITES:
+                assert sections[name] == run_suites(name, seed, 2, ring)["suites"][0]
 
 
 def test_verify_report_digests_are_pinned(capsys):

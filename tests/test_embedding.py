@@ -253,6 +253,30 @@ def test_lift_requires_matching_form():
         lift_involution(e, InvolutionForm(1, ZZ(1)))
 
 
+def test_build_phi_and_lift_involution_keep_their_result_on_the_embedding():
+    for e in (suslin_embedding(2, ZZ), suslin_embedding(3, Zmod(6)),
+              clifford_self_embedding(hyperbolic(1, ZZ))):
+        assert build_phi(e) is build_phi(e)
+        assert lift_involution(e) is lift_involution(e)
+        assert lift_involution(e, e.involution) is lift_involution(e)
+
+
+def test_failed_build_phi_and_lift_involution_raise_on_every_call():
+    degenerate = clifford_self_embedding(diagonal_space([0], ZZ))
+    e = suslin_embedding(2, ZZ)
+    invalid = Embedding(e.space, e.algebra, e.dim, e.rho, ScalarMatrix.zero(4, 4, ZZ))
+    for bed in (degenerate, invalid):
+        for _ in range(2):
+            with pytest.raises(EmbeddingError):
+                build_phi(bed)
+    e = suslin_embedding(3, ZZ)
+    lifted = lift_involution(e)
+    for _ in range(2):
+        with pytest.raises(InvolutionError):
+            lift_involution(e, InvolutionForm(1, ZZ(-1)))
+    assert lift_involution(e) is lifted
+
+
 def test_self_embedding_lift_uses_negative_sign():
     e = clifford_self_embedding(hyperbolic(1, ZZ))
     assert e.involution == InvolutionForm(1, ZZ(-1))
