@@ -113,24 +113,11 @@ class AlgMatrix:
         if not isinstance(other, AlgMatrix):
             return NotImplemented
         self._check(other)
-        n = self.dim
-        rows = []
-        for i in range(n):
-            out_row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    a = self.entries[i][k]
-                    if a.is_zero:
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero:
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                out_row.append(acc if acc is not None else self.algebra.zero())
-            rows.append(out_row)
-        return AlgMatrix(self.algebra, rows)
+        zero, cols = self.algebra.zero(), list(zip(*other.entries))
+        return AlgMatrix(self.algebra, [
+            [sum((a * b for a, b in zip(row, col) if not (a.is_zero or b.is_zero)), zero) for col in cols]
+            for row in self.entries
+        ])
 
     def scale(self, s: Scalar) -> "AlgMatrix":
         return AlgMatrix(self.algebra, [[a.scale(s) for a in row] for row in self.entries])

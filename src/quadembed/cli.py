@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     text = "certify the hyperbolic matrix realisation Cl(H^n) = M(2^n) over z, q or zmod:m"
     p = sub.add_parser("iso", help=text, description=text)
-    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4), help="n = 4 ranks 256 images, about a second")
+    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4, 5), help="n = 5 ranks 1,024 images, about 0.5 s")
     p.add_argument("--ring", default="q", help="z, q (default), or zmod:m")
     p.set_defaults(fn=_cmd_iso)
 

@@ -10,6 +10,7 @@ triple product, and lifts entry involutions to the doubled algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .algmat import (
@@ -108,7 +109,6 @@ class Embedding:
         self.alpha = alpha
         self.involution = involution
         self.a_star = a_star
-        self._v_span = None
         self._phi = None
         self._lifts = {}
 
@@ -116,12 +116,10 @@ class Embedding:
     def ring(self):
         return self.space.ring
 
-    @property
+    @cached_property
     def v_span(self) -> SpanSolver:
         """The span of the basis images, built on first use."""
-        if self._v_span is None:
-            self._v_span = SpanSolver(self.rho, self.ring)
-        return self._v_span
+        return SpanSolver(self.rho, self.ring)
 
     @property
     def scalar_entries(self) -> bool:
@@ -332,10 +330,16 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
 
     Consistency on basis images is mandatory: form 1 requires star(rho) to
     be u*rho, form 2 requires u*bar(rho).  The entry involution itself is
-    verified to be an order-2 anti-automorphism on a module basis of A,
-    which carries the same properties to the lifted map; finally the lift
-    must negate every doubled image of a basis vector.  Each lift is kept
-    on `e` under its form; a rejected form is not kept and raises again.
+    verified to be an order-2 anti-automorphism, which carries the same
+    properties to the lifted map, on ring generators x of A (E_(t,t+1),
+    E_(t+1,t), the e_k E_11 for Clifford entries, 1 when dim is 1) against
+    a module basis y.  That is exact when star is additive, as the signed
+    permutation star of a Suslin bed and the reversal are: the x with
+    star(xy) = star(y) star(x) for all y then form a subring, which holds
+    the generators and so all of A, and star^2, a ring map, is the identity
+    on it.  Finally the lift must negate every doubled image of a basis
+    vector.  Each lift is kept on `e` under its form; a rejected form is
+    not kept and raises again.
     """
     if e.a_star is None:
         raise InvolutionError("no entry involution available on the algebra")
@@ -358,11 +362,13 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
             )
 
     basis = algebra_basis(e.algebra, e.dim)
-    for x in basis:
-        if star(star(x)) != x:
-            raise InvolutionError("entry involution does not have order 2")
-    for x in basis:
+    d, k = e.dim, len(basis) // e.dim**2  # k entries per matrix position
+    gens = [basis[(i * d + j) * k] for t in range(d - 1) for i, j in ((t, t + 1), (t + 1, t))]
+    gens += [basis[1 << t] for t in range((k - 1).bit_length())] + (basis[:1] if d == 1 else [])
+    for x in gens:
         sx = star(x)
+        if star(sx) != x:
+            raise InvolutionError("entry involution does not have order 2")
         for y in basis:
             if star(x * y) != star(y) * sx:
                 raise InvolutionError("entry involution is not an anti-automorphism")

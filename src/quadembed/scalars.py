@@ -7,8 +7,10 @@ point anywhere in the package.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import add, attrgetter, mul
 
 
@@ -434,23 +436,26 @@ class ScalarMatrix:
 
     def __mul__(self, other):
         """Integer dot products of the rows of A with the columns of B, over
-        the product of the two denominators; a row that is at least half
-        zero is dotted over its non-zero entries only."""
+        the product of the two denominators; a row of A that is at least
+        half zero instead combines the rows of B its non-zero entries pick."""
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError("inner dimensions do not match")
         if self.ring is not other.ring:
             raise RingError("ring mismatch")
-        n, k, a = self.cols, other.cols, self.values
-        cols = [other.values[j::k] for j in range(k)]
+        n, k, a, b = self.cols, other.cols, self.values, other.values
+        cols = [b[j::k] for j in range(k)]
         out = []
         for i in range(0, len(a), n):
             row = a[i : i + n]
-            nz = [t for t, x in enumerate(row) if x]
+            nz = list(compress(range(n), row))
             if 2 * len(nz) <= n:
-                row = [row[t] for t in nz]
-                out += [sum(map(mul, row, map(col.__getitem__, nz))) for col in cols]
+                acc = [0] * k
+                for t in nz:
+                    x = row[t]
+                    acc = [u + x * v for u, v in zip(acc, b[t * k : t * k + k])]
+                out += acc
             else:
                 out += [sum(map(mul, row, col)) for col in cols]
         return ScalarMatrix(self.rows, k, out, self.ring, self.den * other.den)
@@ -649,59 +654,89 @@ def rank_over_fractions(a) -> int:
     the matrix whose rows are a list of vectors over Z or Q, each read by
     `raw_row`; a vector over Z/m is refused, its ring read without boxing.
     Elimination runs on each row cleared of its own least denominator,
-    which leaves the rank alone."""
+    which leaves the rank alone.  The rank is the number of +-1 pivots
+    taken first plus the Bareiss rank of the rows they leave (`_rank`)."""
     matrix = isinstance(a, ScalarMatrix)
     for v in [a] if matrix else a:
         if isinstance(v.ring if hasattr(v, "ring") else v[0].ring, ModularRing):
             raise RingError("rank over fractions is not defined for modular rings")
-    rows = a._elimination_rows()[0] if matrix else [list(raw_row(v, QQ)[0]) for v in a]
-    pivots = []
-    _bareiss(rows, range(len(rows[0])), pivots, jordan=False)
-    return len(pivots)
+    return _rank(a._elimination_rows()[0] if matrix else [list(raw_row(v, QQ)[0]) for v in a])
 
 
 def rank_in_ring(vectors, ring: Ring) -> int:
     """McCoy's rank (Rings and Ideals, 1948) over `ring` of a ScalarMatrix
     or of the rows of a list of vectors `raw_row` reads; rows are certified
     independent when it equals their number.  Over Z and Q it is the rank
-    over Q; over Z/m the least rank mod a prime p | m, without factoring m."""
+    over Q; over Z/m the least rank mod a prime p | m, without factoring m.
+    Either is the number of unit pivots taken first plus the rank of the
+    rows they leave (`_rank`)."""
     if not isinstance(ring, ModularRing):
         return rank_over_fractions(vectors)
     matrix = isinstance(vectors, ScalarMatrix)
     rows = vectors._elimination_rows()[0] if matrix else [raw_row(v, ring)[0] for v in vectors]
-    return _mccoy_rank(rows, ring.modulus)
+    return _rank(rows, ring.modulus)
 
 
-def _mccoy_rank(rows, m: int):
-    """Least rank mod a prime p | m of integer rows, infinity for m = 1.  A
-    unit pivot eliminates mod m; a column with non-zero entries but no unit
-    splits m at one of them, a, into m2, m with the primes of gcd(a, m)
-    divided out, where a is a unit, and m1 = m / m2, where a vanishes mod
-    every prime and is zeroed.  Each split shrinks m or the non-zeros."""
+def _rank(rows, m: int = 0):
+    """McCoy's rank of integer rows: over Q for m = 0, else the least rank
+    mod a prime p | m (infinity for m = 1).  Unit pivots first: while a row
+    holds a unit (+-1, or a unit mod m), the sparsest such row pivots on it,
+    a row operation that adds exactly 1 to the rank over Q and mod every
+    prime dividing m.  The rows left go to Bareiss over Q; over Z/m their
+    first non-zero entry a splits m into m2, m with the primes of gcd(a, m)
+    divided out (a is a unit), and m1 = m / m2 (a vanishes mod every prime
+    and is zeroed); each split shrinks m or the non-zeros.  Over Q, where
+    Bareiss needs no unit, input with no row at least half zero holding a
+    +-1 goes to Bareiss as is; the split needs every unit gone first."""
     if m == 1:
         return math.inf
-    rows = [[x % m for x in row] for row in rows]
     rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        nz = [i for i in range(rank, len(rows)) if rows[i][c]]
-        p = next((i for i in nz if math.gcd(rows[i][c], m) == 1), None)
-        if nz and p is None:
-            m2, i = m, nz[0] - rank
-            while (g := math.gcd(rows[nz[0]][c], m2)) > 1:
-                m2 //= g
-            rest = rows[rank:]
-            rest[i] = rest[i][:c] + [0] + rest[i][c + 1 :]
-            return rank + min(_mccoy_rank(rows[rank:], m2), _mccoy_rank(rest, m // m2))
-        if p is None:
+    if m or any(2 * row.count(0) >= len(row) and (1 in row or -1 in row) for row in rows):
+        rank, rows = _unit_pivots(rows, m)
+    if not rows:
+        return rank
+    if not m:
+        pivots = []
+        _bareiss(rows, range(len(rows[0])), pivots, jordan=False)
+        return rank + len(pivots)
+    row = rows[0]
+    c = next(j for j, x in enumerate(row) if x)
+    m2 = m
+    while (g := math.gcd(row[c], m2)) > 1:
+        m2 //= g
+    rest = [row[:c] + [0] + row[c + 1 :]] + rows[1:]
+    return rank + min(_rank(rows, m2), _rank(rest, m // m2))
+
+
+def _unit_pivots(rows, m: int) -> tuple[int, list[list[int]]]:
+    """The unit pivots of `_rank`, sparsest row first (the row count of
+    Markowitz 1957; Dumas and Villard 2002): each clears its column from
+    the other rows.  Returns their count and the non-zero rows left, dense
+    over the columns they use."""
+    sparse = []
+    for row in rows:
+        row = [x % m for x in row] if m else row
+        js = list(compress(range(len(row)), row))
+        sparse.append(dict(zip(js, map(row.__getitem__, js))))
+    queue, rank = sorted((len(row), i) for i, row in enumerate(sparse)), 0
+    while queue:
+        n, i = queue.pop(0)
+        row = sparse[i]
+        c = next((j for j, x in row.items() if math.gcd(x, m) == 1), None)  # gcd(x, 0) = |x|
+        if len(row) != n or c is None:
             continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        inv = pow(rows[rank][c], -1, m)
-        for i in nz:
-            f = rows[i][c] * inv % m
-            if f and i != rank:
-                rows[i] = [(x - f * y) % m for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        rank, sparse[i] = rank + 1, {}
+        inv = pow(row.pop(c), -1, m) if m else row.pop(c)
+        for k, other in enumerate(sparse):
+            if c in other:
+                f = other.pop(c) * inv
+                for j, x in row.items():
+                    other[j] = (other.get(j, 0) - f * x) % m if m else other.get(j, 0) - f * x
+                    if not other[j]:
+                        del other[j]
+                insort(queue, (len(other), k))
+    used = sorted(set().union(*sparse))
+    return rank, [[row.get(j, 0) for j in used] for row in sparse if row]
 
 
 class SpanSolver:

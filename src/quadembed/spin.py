@@ -9,7 +9,7 @@ embedding is the worked test bed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .algmat import block2
 from .embedding import Embedding, build_phi, lift_involution
@@ -322,11 +322,7 @@ class LemmaReport:
         return not self.failures
 
     def to_json(self):
-        return {
-            "lemma": self.lemma,
-            "samples": self.samples,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def _coords_json(coords) -> list[str]:

@@ -7,7 +7,7 @@ pure function of its configuration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .algmat import AlgMatrix, parity_of_block_matrix
@@ -87,12 +87,7 @@ class CheckResult:
     info: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "failures": self.failures,
-            "info": self.info,
-        }
+        return asdict(self)
 
 
 def _rng(cfg: SuiteConfig, check: str) -> random.Random:

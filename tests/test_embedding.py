@@ -253,6 +253,28 @@ def test_lift_requires_matching_form():
         lift_involution(e, InvolutionForm(1, ZZ(1)))
 
 
+def _identity_star(bed):
+    """`bed` with the identity as entry involution and form 1, u = 1: the
+    identity has order 2, fixes every rho(e_i) and negates the doubled
+    images, so only the anti-automorphism check can refuse it."""
+    return Embedding(bed.space, bed.algebra, bed.dim, bed.rho, bed.alpha,
+                     involution=InvolutionForm(1, ZZ(1)), a_star=lambda m: m)
+
+
+def test_identity_star_on_a_suslin_bed_is_not_an_anti_automorphism():
+    bed = suslin_embedding(3, ZZ)
+    assert bed.involution.form == 1
+    with pytest.raises(InvolutionError, match="not an anti-automorphism"):
+        lift_involution(_identity_star(bed))
+
+
+def test_identity_star_on_the_clifford_self_embedding_is_not_an_anti_automorphism():
+    # 1x1 matrices over Cl(H^1): the generators are 1, e_1 and e_2
+    bed = clifford_self_embedding(hyperbolic(1, ZZ))
+    with pytest.raises(InvolutionError, match="not an anti-automorphism"):
+        lift_involution(_identity_star(bed))
+
+
 def test_build_phi_and_lift_involution_keep_their_result_on_the_embedding():
     for e in (suslin_embedding(2, ZZ), suslin_embedding(3, Zmod(6)),
               clifford_self_embedding(hyperbolic(1, ZZ))):

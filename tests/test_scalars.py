@@ -227,6 +227,49 @@ def test_rank_over_fractions_refuses_modular_vectors():
         rank_over_fractions([ints(z6, [2, 3]), ints(z6, [4, 0])])
 
 
+def test_unit_pivots_first_matches_the_rank_oracles():
+    """The unit-pivot rank against plain row reduction on sparse, +-1-rich
+    matrices over Z, Q (rows over their own denominators) and Z/m: 1 x k
+    and k x 1 shapes, zero rows, all-even input with no unit pivot, and
+    densities on both sides of the hand-off to dense elimination."""
+    rng = random.Random(23)
+    shapes = [(1, k) for k in range(1, 6)] + [(k, 1) for k in range(1, 6)]
+    for trial in range(600):
+        r, c = shapes[trial] if trial < len(shapes) else (rng.randint(1, 9), rng.randint(1, 9))
+        pool = [2, -2, 4, 6] if trial % 5 == 0 else [1, -1, 1, -1, 2, -3, 5]
+        density = rng.choice((0.1, 0.25, 0.5, 0.75, 1.0))
+        rows = [[rng.choice(pool) if rng.random() < density else 0 for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(r)] = [0] * c
+        want = rref_rank(rows)
+        assert rank_over_fractions(ScalarMatrix.of_ints(ZZ, rows)) == want, rows
+        assert rank_in_ring([ints(ZZ, row) for row in rows], ZZ) == want, rows
+        q_rows = [[QQ(Fraction(x, d)) for x in row] for row, d in zip(rows, rng.choices((1, 2, 3, 6), k=r))]
+        assert rank_over_fractions(q_rows) == want, q_rows
+        assert rank_in_ring(ScalarMatrix.from_rows(q_rows), QQ) == want, q_rows
+        m = rng.choice((2, 4, 6, 12, 30, 101))
+        want = min(rank_mod_prime(rows, p) for p in (2, 3, 5, 101) if m % p == 0)
+        ring = Zmod(m)
+        assert rank_in_ring(ScalarMatrix.of_ints(ring, rows), ring) == want, (m, rows)
+        assert rank_in_ring([ints(ring, row) for row in rows], ring) == want, (m, rows)
+    assert rank_over_fractions([]) == 0
+    for ring in (ZZ, QQ, Zmod(6)):
+        assert rank_in_ring([], ring) == 0
+
+
+def test_dense_input_goes_to_bareiss_unconverted(monkeypatch):
+    import quadembed.scalars as scalars
+
+    calls, real = [], scalars._unit_pivots
+    monkeypatch.setattr(scalars, "_unit_pivots", lambda rows, m: calls.append(m) or real(rows, m))
+    rng = random.Random(9)
+    dense = [[rng.choice((-9, -1, 1, 2, 7)) for _ in range(12)] for _ in range(12)]
+    assert rank_over_fractions(ScalarMatrix.of_ints(ZZ, dense)) == rref_rank(dense)
+    assert calls == []
+    assert rank_over_fractions(ScalarMatrix.identity(12, QQ)) == 12
+    assert calls == [0]
+
+
 def test_rank_transpose_invariant():
     rng = random.Random(11)
     for _ in range(200):

@@ -305,8 +305,51 @@ def test_iso_is_unimodular_over_z():
 
 
 def test_iso_states_its_cap_and_cost():
-    with pytest.raises(ShapeError, match=r"\{2, 3, 4\}.*1,024"):
-        hyperbolic_clifford_iso(5, QQ)
+    with pytest.raises(ShapeError, match=r"\{2, 3, 4, 5\}.*about 0\.5 s.*4,096"):
+        hyperbolic_clifford_iso(6, QQ)
+
+
+def test_iso_certifies_rank_1024_at_n_5():
+    phi = hyperbolic_clifford_iso(5, ZZ)
+    assert phi.monomial_rank == 1024 and phi.injective
+
+
+def test_suslin_rank_certificates_never_reach_the_dense_residual(monkeypatch):
+    """Unit pivots alone certify the monomial images of the Suslin beds:
+    inside the rank certificate the skeleton runs once, with no Bareiss
+    call over Z and no split of the modulus over Z/6, so a return to dense
+    elimination fails here whatever the timings."""
+    import quadembed.clifford as clifford
+    import quadembed.scalars as scalars
+
+    real_rank, real_bareiss, real_skeleton = clifford.rank_in_ring, scalars._bareiss, scalars._rank
+    inside, residual = [], []
+
+    def rank_in_ring(vectors, ring):
+        inside.append(ring)
+        try:
+            return real_rank(vectors, ring)
+        finally:
+            inside.pop()
+
+    def bareiss(*args, **kwargs):
+        if inside:
+            residual.append("bareiss")
+        return real_bareiss(*args, **kwargs)
+
+    def skeleton(rows, m=0):
+        if inside:
+            residual.append(m)
+        return real_skeleton(rows, m)
+
+    monkeypatch.setattr(clifford, "rank_in_ring", rank_in_ring)
+    monkeypatch.setattr(scalars, "_bareiss", bareiss)
+    monkeypatch.setattr(scalars, "_rank", skeleton)
+    for n in (3, 4):
+        for ring, top in ((ZZ, [0]), (Zmod(6), [6])):
+            residual.clear()
+            assert build_phi(suslin_embedding(n, ring)).monomial_rank == 4**n
+            assert residual == top, (n, ring)
 
 
 def test_iso_rejects_rank_two():
