@@ -10,7 +10,6 @@ matrices are `AlgMatrix`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .clifford import cl_one, cl_scalar, cl_zero, pbw_basis
 from .qspace import QuadraticSpace
@@ -23,14 +22,17 @@ from .scalars import (
     ShapeError,
     ZZ,
     SpanSolver,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class CliffordCoeffs:
+class CliffordCoeffs(_Value):
     """Entries are elements of a fixed Clifford algebra."""
 
-    space: QuadraticSpace
+    __slots__ = ("space",)
+
+    def __init__(self, space: QuadraticSpace):
+        self.space = space
 
     @property
     def ring(self) -> Ring:

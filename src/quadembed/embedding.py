@@ -9,7 +9,6 @@ triple product, and lifts entry involutions to the doubled algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -29,7 +28,7 @@ from .clifford import (
     standard_involution,
 )
 from .qspace import QuadraticSpace
-from .scalars import RingError, Scalar, ScalarMatrix, ShapeError, SpanSolver
+from .scalars import RingError, Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value
 
 
 class EmbeddingError(ValueError):
@@ -52,22 +51,21 @@ class InvolutionError(EmbeddingError):
         self.basis_index = basis_index
 
 
-@dataclass(frozen=True)
-class InvolutionForm:
+class InvolutionForm(_Value):
     """Which table row the entry involution follows on embedded vectors.
 
     Form 1 fixes vectors up to the sign u; form 2 sends them to u times
     their bar image.  In both cases u squares to 1.
     """
 
-    form: int
-    u: Scalar
+    __slots__ = ("form", "u")
 
-    def __post_init__(self):
-        if self.form not in (1, 2):
+    def __init__(self, form: int, u: Scalar):
+        if form not in (1, 2):
             raise ValueError("form must be 1 or 2")
-        if self.u * self.u != self.u.ring.one:
+        if u * u != u.ring.one:
             raise ValueError("u must square to 1")
+        self.form, self.u = form, u
 
 
 class Embedding:
@@ -175,10 +173,11 @@ class Embedding:
         )
 
 
-@dataclass
 class ValidationReport:
-    passed: bool
-    failures: list
+    __slots__ = ("passed", "failures")
+
+    def __init__(self, passed: bool, failures: list):
+        self.passed, self.failures = passed, failures
 
     def to_json(self):
         return {"passed": self.passed, "failures": list(self.failures)}

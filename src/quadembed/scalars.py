@@ -26,6 +26,29 @@ class ShapeError(ValueError):
     """Matrix or vector shapes do not line up."""
 
 
+class _Value:
+    """Base of the package's small value types, treated as immutable: two
+    are equal, and hash alike, when their types match and their slots agree."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, a) for a in self.__slots__)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
+
+
 class Ring:
     """Base class for the supported coefficient rings.  The arithmetic
     here is that of Z and Q, whose values are plain ints and Fractions.
@@ -551,9 +574,15 @@ def _bareiss(rows, cols, pivots, prev=1, jordan=True):
     division is exact.  With `jordan` the pivot columns are cleared above
     the pivot too, and every pivot row holds the last pivot d.  Passing the
     earlier pivots and d as `prev` resumes an elimination.  Returns d and
-    the sign of the row permutation."""
+    the sign of the row permutation.
+
+    A pivot equal to -prev would negate every row clear of its column, so
+    the unused pivot row is negated instead: the rows then hold s times the
+    true ones for one carried sign s, which Jordan mode takes out at the
+    end.  Without `jordan` each pivot row keeps the sign of its own step,
+    so callers (`determinant`, `_rank`) read only d, the sign and `pivots`."""
     n = len(rows)
-    sign = 1
+    sign = s = 1
     for c in cols:
         r = len(pivots)
         p = next((i for i in range(r, n) if rows[i][c]), None)
@@ -564,13 +593,18 @@ def _bareiss(rows, cols, pivots, prev=1, jordan=True):
             sign = -sign
         prow = rows[r]
         pc = prow[c]
+        if pc == -prev:
+            prow = rows[r] = [-x for x in prow]
+            pc, s = prev, -s
         for i in range(0 if jordan else r + 1, n):
             f = rows[i][c]
             if i != r and (f or pc != prev):
                 rows[i] = [(x * pc - f * y) // prev for x, y in zip(rows[i], prow)]
         pivots.append(c)
         prev = pc
-    return prev, sign
+    if s < 0 and jordan:
+        rows[:] = [[-x for x in row] for row in rows]
+    return s * prev, sign
 
 
 def _echelon(rows, ncols: int, modulus: int) -> list[int]:

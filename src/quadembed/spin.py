@@ -9,12 +9,11 @@ embedding is the worked test bed.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
 
 from .algmat import block2
 from .embedding import Embedding, build_phi, lift_involution
 from .qspace import random_vector
-from .scalars import Scalar, ScalarMatrix, ShapeError, SpanSolver, rank_in_ring
+from .scalars import Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value, rank_in_ring
 
 
 class SpinError(ValueError):
@@ -25,20 +24,22 @@ class NormUndefinedError(SpinError):
     """g g* escaped the embedded space, so no norm value exists."""
 
 
-@dataclass(frozen=True)
-class EvenPair:
+class EvenPair(_Value):
     """Diagonal pair (g1, g2) standing for the block matrix diag(g1, g2)."""
 
-    g1: ScalarMatrix
-    g2: ScalarMatrix
+    __slots__ = ("g1", "g2")
+
+    def __init__(self, g1: ScalarMatrix, g2: ScalarMatrix):
+        self.g1, self.g2 = g1, g2
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """An algebra element with a checked invertibility certificate."""
 
-    matrix: ScalarMatrix
-    det: Scalar
+    __slots__ = ("matrix", "det")
+
+    def __init__(self, matrix: ScalarMatrix, det: Scalar):
+        self.matrix, self.det = matrix, det
 
 
 class SpinContext:
@@ -311,18 +312,18 @@ class SpinContext:
         return LemmaReport("4.4", samples, failures)
 
 
-@dataclass
 class LemmaReport:
-    lemma: str
-    samples: int
-    failures: list
+    __slots__ = ("lemma", "samples", "failures")
+
+    def __init__(self, lemma: str, samples: int, failures: list):
+        self.lemma, self.samples, self.failures = lemma, samples, failures
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json(self):
-        return asdict(self)
+        return {"lemma": self.lemma, "samples": self.samples, "failures": self.failures}
 
 
 def _coords_json(coords) -> list[str]:

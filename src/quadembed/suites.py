@@ -7,7 +7,6 @@ pure function of its configuration.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .algmat import AlgMatrix, parity_of_block_matrix
@@ -54,17 +53,14 @@ from .suslin import (
 SUITES = ("suslin", "clifford", "embedding", "spin", "catalog")
 
 
-@dataclass
 class SuiteConfig:
     """One suite of a run.  `beds` holds the Suslin beds, which depend only
     on the ring; `run_suites` hands one store to every suite of a run, so
     each bed is built and certified once per run."""
 
-    suite: str
-    seed: int = 0
-    samples: int = 100
-    ring: Ring = ZZ
-    beds: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, suite: str, seed: int = 0, samples: int = 100, ring: Ring = ZZ, beds=None):
+        self.suite, self.seed, self.samples, self.ring = suite, seed, samples, ring
+        self.beds = {} if beds is None else beds
 
     def suslin_bed(self, n: int) -> Embedding:
         """`suslin_embedding(n, ring)`, built once per run."""
@@ -79,15 +75,14 @@ class SuiteConfig:
         return SpinContext(self.suslin_bed(3))
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    failures: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
+    __slots__ = ("name", "passed", "failures", "info")
+
+    def __init__(self, name: str, passed: bool, failures: list, info: dict):
+        self.name, self.passed, self.failures, self.info = name, passed, failures, info
 
     def to_json(self):
-        return asdict(self)
+        return {"name": self.name, "passed": self.passed, "failures": self.failures, "info": self.info}
 
 
 def _rng(cfg: SuiteConfig, check: str) -> random.Random:

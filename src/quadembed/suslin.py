@@ -4,33 +4,30 @@ small split quadratic spaces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algmat import AlgMatrix, CliffordCoeffs, block2, lift_scalar_matrix
 from .clifford import CliffordRelationError, UniversalMap, extend_universal, monomial
 from .embedding import Embedding, InvolutionForm, build_phi
 from .qspace import QuadraticSpace, diagonal_space, hyperbolic, orthogonal_sum
-from .scalars import Ring, RingError, Scalar, ScalarMatrix, ShapeError, ZZ, raw_row
+from .scalars import Ring, RingError, Scalar, ScalarMatrix, ShapeError, ZZ, _Value, raw_row
 
 MAX_COORDINATES = 8  # 128x128 matrices; each coordinate more costs about 4 times
 
 
-@dataclass(frozen=True)
-class SuslinPair:
+class SuslinPair(_Value):
     """Two coordinate rows of equal length n+1 <= MAX_COORDINATES; the matrices have size 2**n."""
 
-    v: tuple
-    w: tuple
+    __slots__ = ("v", "w")
 
-    def __post_init__(self):
-        if len(self.v) != len(self.w):
+    def __init__(self, v: tuple, w: tuple):
+        if len(v) != len(w):
             raise ShapeError("coordinate rows must have equal length")
-        if not 1 <= len(self.v) <= MAX_COORDINATES:
-            raise ShapeError(f"a pair has 1 to {MAX_COORDINATES} coordinates, not {len(self.v)}")
-        ring = self.v[0].ring
-        for s in self.v + self.w:
+        if not 1 <= len(v) <= MAX_COORDINATES:
+            raise ShapeError(f"a pair has 1 to {MAX_COORDINATES} coordinates, not {len(v)}")
+        ring = v[0].ring
+        for s in v + w:
             if s.ring is not ring:
                 raise RingError("coordinates must share one ring")
+        self.v, self.w = v, w
 
     @property
     def ring(self) -> Ring:
@@ -86,13 +83,12 @@ def bar_pair(p: SuslinPair) -> SuslinPair:
     return SuslinPair(v, w)
 
 
-@dataclass
 class SuslinIdentityReport:
-    n: int
-    dot: Scalar
-    product_ok: bool
-    det_ok: bool | None  # None for n = 0
-    failures: list
+    __slots__ = ("n", "dot", "product_ok", "det_ok", "failures")
+
+    def __init__(self, n: int, dot: Scalar, product_ok: bool, det_ok: bool | None, failures: list):
+        self.n, self.dot, self.failures = n, dot, failures
+        self.product_ok, self.det_ok = product_ok, det_ok  # det_ok is None for n = 0
 
     @property
     def passed(self) -> bool:
@@ -143,16 +139,17 @@ class DerivationError(RuntimeError):
     """Orbit propagation found no signed permutation satisfying the identity."""
 
 
-@dataclass(frozen=True)
-class JMatrix:
+class JMatrix(_Value):
     """Signed permutation J with J J^T = I conjugating transposes of the
     size-2**(n-1) matrices back into the family."""
 
-    n: int
-    size: int
-    matrix: ScalarMatrix  # over Z, entries in {-1, 0, 1}
-    bar_case: bool  # True when conjugation lands on the companion matrix
-    candidates_tried: int  # J's rank among all signed permutations, see derive_j
+    __slots__ = ("n", "size", "matrix", "bar_case", "candidates_tried")
+
+    def __init__(self, n: int, size: int, matrix: ScalarMatrix, bar_case: bool, candidates_tried: int):
+        self.n, self.size = n, size
+        self.matrix = matrix  # over Z, entries in {-1, 0, 1}
+        self.bar_case = bar_case  # True when conjugation lands on the companion matrix
+        self.candidates_tried = candidates_tried  # J's rank among all signed permutations, see derive_j
 
     def as_ring(self, ring: Ring) -> ScalarMatrix:
         return ScalarMatrix(self.size, self.size, self.matrix.values, ring)

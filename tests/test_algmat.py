@@ -168,6 +168,10 @@ def test_algebra_basis_sizes():
     assert len(algebra_basis(ZZ, 3)) == 9
     space = diagonal_space([-1], ZZ)
     assert len(algebra_basis(CliffordCoeffs(space), 2)) == 8
+    alg = CliffordCoeffs(space)
+    assert alg == CliffordCoeffs(diagonal_space([-1], ZZ))
+    assert hash(alg) == hash(CliffordCoeffs(diagonal_space([-1], ZZ)))
+    assert alg != CliffordCoeffs(diagonal_space([1], ZZ)) and alg != space and alg != ZZ
 
 
 def test_lift_scalar_matrix_embeds_centrally():

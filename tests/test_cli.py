@@ -468,6 +468,20 @@ def test_cli_entry_point_subprocess():
     assert json.loads(proc.stdout)["j"] == [["1"]]
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Both cost a cold start milliseconds the CLI has no use for."""
+    code = (
+        "import sys; before = set(sys.modules); import quadembed.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=PACKAGE_ROOT, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "quadembed.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_emitted_objects_reparse(capsys):
     from quadembed.qspace import QuadraticSpace
 

@@ -301,8 +301,16 @@ def test_failed_build_phi_and_lift_involution_raise_on_every_call():
 
 def test_self_embedding_lift_uses_negative_sign():
     e = clifford_self_embedding(hyperbolic(1, ZZ))
-    assert e.involution == InvolutionForm(1, ZZ(-1))
+    form = InvolutionForm(1, ZZ(-1))
+    assert e.involution == form and e.involution is not form
+    assert hash(e.involution) == hash(form)
+    assert form != InvolutionForm(2, ZZ(-1)) and form != (1, ZZ(-1))
     star = lift_involution(e)
+    assert lift_involution(e, form) is star  # an equal form finds the kept lift
+    with pytest.raises(ValueError, match="form must be 1 or 2"):
+        InvolutionForm(3, ZZ(1))
+    with pytest.raises(ValueError, match="u must square to 1"):
+        InvolutionForm(1, ZZ(2))
     phi = build_phi(e)
     for img in phi.images:
         assert star(img) == -img

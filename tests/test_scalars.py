@@ -472,6 +472,84 @@ def test_span_solver_agrees_with_solve_in_ring():
                 assert combo == target
 
 
+def full_negation_bareiss(rows, cols, pivots, prev=1, jordan=True):
+    """Bareiss as it read before the carried sign: a pivot equal to -prev
+    rewrites every row clear of its column as its negation."""
+    n = len(rows)
+    sign = 1
+    for c in cols:
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        prow = rows[r]
+        pc = prow[c]
+        for i in range(0 if jordan else r + 1, n):
+            f = rows[i][c]
+            if i != r and (f or pc != prev):
+                rows[i] = [(x * pc - f * y) // prev for x, y in zip(rows[i], prow)]
+        pivots.append(c)
+        prev = pc
+    return prev, sign
+
+
+def bareiss_inputs(rng):
+    """Dense rows, sparse 0/+-1 rows, and rows whose pivots alternate in sign."""
+    n, k = rng.randint(1, 7), rng.randint(1, 9)
+    yield [[rng.randint(-5, 5) for _ in range(k)] for _ in range(n)]
+    yield [[rng.choice((0, 0, 0, 1, -1)) for _ in range(k)] for _ in range(n)]
+    rows = [[(-1) ** i if i == j else rng.choice((0, 0, 1, -1, 2)) * (j > i) for j in range(k)]
+            for i in range(n)]
+    rng.shuffle(rows)
+    yield rows
+
+
+def test_bareiss_carried_sign_leaves_the_full_negation_integers():
+    import quadembed.scalars as scalars
+
+    rng = random.Random(41)
+    for _ in range(400):
+        for rows in bareiss_inputs(rng):
+            k = len(rows[0])
+            split = rng.randint(0, k)
+            for jordan in (True, False):
+                got, want = [r[:] for r in rows], [r[:] for r in rows]
+                gp, wp = [], []
+                g = scalars._bareiss(got, range(split), gp, jordan=jordan)
+                w = full_negation_bareiss(want, range(split), wp, jordan=jordan)
+                if jordan:  # resume from the first call's d, as SpanSolver.add does
+                    assert got == want
+                    g = scalars._bareiss(got, range(split, k), gp, g[0])
+                    w = full_negation_bareiss(want, range(split, k), wp, w[0])
+                    assert got == want
+                assert (g, gp) == (w, wp)
+
+
+def test_span_solver_z_answers_survive_the_carried_sign(monkeypatch):
+    import quadembed.scalars as scalars
+
+    rng = random.Random(43)
+    cases, big_d = [], 0
+    while big_d < 100:
+        n, k = rng.randint(2, 6), rng.randint(2, 6)
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k - 1)]
+        dep = [sum(rng.randint(-2, 2) * v[i] for v in base) for i in range(n)]
+        cols = [[ZZ(x) for x in c] for c in base + [dep]]
+        targets = [[ZZ(rng.randint(-6, 6)) for _ in range(n)] for _ in range(3)]
+        targets.append([sum((rng.randint(-3, 3) * c[i] for c in cols), ZZ(0)) for i in range(n)])
+        solver = SpanSolver(cols, ZZ)
+        if abs(solver._d) > 1:
+            big_d += 1
+        cases.append((cols, targets, [solver.solve(t) for t in targets]))
+    monkeypatch.setattr(scalars, "_bareiss", full_negation_bareiss)
+    for cols, targets, got in cases:
+        solver = SpanSolver(cols, ZZ)
+        assert [solver.solve(t) for t in targets] == got
+
+
 def test_shape_errors():
     a = ScalarMatrix.of_ints(ZZ, [[1, 2]])
     with pytest.raises(ShapeError):

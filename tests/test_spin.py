@@ -161,7 +161,11 @@ def test_chi_inverse_unit_example():
     ctx = ctx_q()
     eye = ctx.embedding.identity_matrix()
     pair = ctx.chi_inverse(eye)
-    assert pair == EvenPair(eye, eye)
+    assert pair == EvenPair(eye, eye) and hash(pair) == hash(EvenPair(eye, eye))
+    assert pair != EvenPair(eye, -eye) and pair != (eye, eye)
+    g = ctx.group_element(eye)
+    assert g == ctx.group_element(eye.scale(QQ(1))) and hash(g) == hash(ctx.group_element(eye))
+    assert g != ctx.group_element(-eye) and g != pair
     e13 = ctx.elementary(0, 2, 2)
     assert ctx.is_in_spin(ctx.chi_inverse(e13))
 

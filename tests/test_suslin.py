@@ -12,7 +12,7 @@ import pytest
 from quadembed.algmat import AlgMatrix, block2, lift_scalar_matrix
 from quadembed.clifford import extend_universal, monomial
 from quadembed.embedding import build_phi, lift_involution
-from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ, Zmod, rank_over_fractions
+from quadembed.scalars import QQ, RingError, ScalarMatrix, ShapeError, ZZ, Zmod, rank_over_fractions
 from quadembed.suslin import (
     MAX_COORDINATES,
     SuslinPair,
@@ -109,7 +109,8 @@ def test_bar_pair_involution():
         p = rand_pair(rng, ZZ, n + 1)
         q = bar_pair(p)
         assert suslin(q) == suslin_bar(p)
-        assert bar_pair(q) == p
+        assert bar_pair(q) == p and hash(bar_pair(q)) == hash(p)
+        assert p != (p.v, p.w)
 
 
 def test_derive_j_base_case():
@@ -122,6 +123,8 @@ def test_derive_j_base_case():
 def test_derive_j_size_two():
     j = derive_j(2)
     assert j.matrix == ScalarMatrix.of_ints(ZZ, [[0, 1], [-1, 0]])
+    assert j == derive_j(2) and j is not derive_j(2) and hash(j) == hash(derive_j(2))
+    assert j != derive_j(3) and j != j.matrix
     assert j.bar_case
     rng = random.Random(4)
     for _ in range(200):
@@ -201,6 +204,10 @@ def test_suslin_pair_size_is_bounded():
     SuslinPair((ZZ.one,) * MAX_COORDINATES, (ZZ.zero,) * MAX_COORDINATES)
     with pytest.raises(ShapeError, match=f"1 to {MAX_COORDINATES} coordinates"):
         SuslinPair((ZZ.one,) * (MAX_COORDINATES + 1), (ZZ.zero,) * (MAX_COORDINATES + 1))
+    with pytest.raises(ShapeError, match="equal length"):
+        SuslinPair((ZZ.one,) * 2, (ZZ.zero,) * 3)
+    with pytest.raises(RingError, match="share one ring"):
+        SuslinPair((ZZ.one, QQ.one), (ZZ.zero, ZZ.zero))
 
 
 def test_package_does_not_shadow_the_suslin_module():
