@@ -14,10 +14,10 @@ from .scalars import (
 from .qspace import (
     QuadraticSpace,
     diagonal_space,
-    find_isometry,
     hyperbolic,
     negate,
     orthogonal_sum,
+    split_isometry,
 )
 from .clifford import (
     CliffordElement,
@@ -35,7 +35,6 @@ from .algmat import (
     AlgMatrix,
     CliffordCoeffs,
     block2,
-    generated_algebra_rank,
     parity_of_block_matrix,
     span_coords,
 )
@@ -69,15 +68,14 @@ __all__ = [
     "QQ", "RingError", "Scalar", "ScalarMatrix", "ShapeError", "ZZ", "Zmod",
     "rank_in_ring", "solve_in_ring",
     # qspace
-    "QuadraticSpace", "diagonal_space", "find_isometry", "hyperbolic", "negate",
-    "orthogonal_sum",
+    "QuadraticSpace", "diagonal_space", "hyperbolic", "negate", "orthogonal_sum",
+    "split_isometry",
     # clifford
     "CliffordElement", "CliffordRelationError", "check_graded_iso_sum", "embed_vector",
     "extend_universal", "grade_component", "grade_involution", "is_homogeneous",
     "pbw_basis", "standard_involution",
     # algmat
-    "AlgMatrix", "CliffordCoeffs", "block2", "generated_algebra_rank",
-    "parity_of_block_matrix", "span_coords",
+    "AlgMatrix", "CliffordCoeffs", "block2", "parity_of_block_matrix", "span_coords",
     # embedding
     "Embedding", "EmbeddingError", "InvolutionForm", "build_phi", "check_alpha_order_two",
     "clifford_self_embedding", "involutions_conflict_check", "jordan_product",

@@ -14,13 +14,11 @@ import math
 from .clifford import cl_one, cl_scalar, cl_zero, pbw_basis
 from .qspace import QuadraticSpace
 from .scalars import (
-    QQ,
     Ring,
     RingError,
     Scalar,
     ScalarMatrix,
     ShapeError,
-    ZZ,
     SpanSolver,
     _Value,
 )
@@ -222,44 +220,6 @@ def span_coords(basis, m) -> list[Scalar] | None:
         if b.dim != m.dim or b.algebra != m.algebra:
             raise ShapeError("basis and target must match in shape and algebra")
     return SpanSolver(basis, m.ring).solve(m)
-
-
-def generated_algebra_rank(generators) -> int:
-    """Dimension over the fraction field of the algebra the generators span.
-
-    The span is closed under products of generator words until it stops
-    growing; word length is additionally capped at twice the matrix
-    dimension as a safety bound.
-    """
-    generators = list(generators)
-    if not generators:
-        raise ShapeError("need at least one generator")
-    first = generators[0]
-    if not isinstance(first, ScalarMatrix) or first.ring not in (ZZ, QQ):
-        raise RingError("generated rank needs scalar entries over Z or Q")
-    if first.dim > 16:
-        raise ShapeError("dimension capped at 16")
-    for g in generators:
-        if g.dim != first.dim or g.algebra is not first.ring:
-            raise ShapeError("generators must match in shape and algebra")
-
-    # the span is taken over Q, so the rank is the one over the fraction field
-    span = SpanSolver([ScalarMatrix.identity(first.dim, first.ring)], QQ)
-    frontier = []
-    for g in generators:
-        if span.add(g):
-            frontier.append(g)
-    length = 1
-    while frontier and length < 2 * first.dim:
-        fresh = []
-        for x in frontier:
-            for g in generators:
-                p = x * g
-                if span.add(p):
-                    fresh.append(p)
-        frontier = fresh
-        length += 1
-    return span.rank
 
 
 def algebra_basis(algebra, dim: int) -> list:

@@ -211,18 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (RingError, ShapeError, ValueError, KeyError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 
 from .scalars import (
-    QQ,
     Ring,
     RingError,
     Scalar,
     ScalarMatrix,
     ShapeError,
-    ZZ,
     json_field,
     raw_row,
     ring_from_name,
@@ -154,52 +151,25 @@ def negate(space: QuadraticSpace) -> QuadraticSpace:
     return QuadraticSpace(-space.qmatrix)
 
 
-def find_isometry(src: QuadraticSpace, dst: QuadraticSpace) -> ScalarMatrix | None:
-    """Search for an invertible T with q_dst(T x) = q_src(x), coordinatewise.
+def split_isometry(q: QuadraticSpace) -> ScalarMatrix:
+    """T with q_H(T x) = q'(x) for q' = orthogonal_sum(q, negate(q)) and
+    H = hyperbolic(rank q), for nonsingular q.
 
-    Backtracks over candidate columns with entries in {-1, 0, 1}; enough for
-    the small split forms this package derives.  Returns None when the pool
-    is exhausted.
-    """
-    if src.rank != dst.rank or src.ring is not dst.ring:
-        return None
-    if src.ring not in (ZZ, QQ):
-        raise RingError("isometry search runs over Z or Q")
-    n = src.rank
-    ring = src.ring
-    pool = [ring(-1), ring(0), ring(1)]
-    vectors = [list(v) for v in product(pool, repeat=n)]
-    candidates = []
-    for i in range(n):
-        want = src.q_generator(i)
-        candidates.append([v for v in vectors if dst.evaluate_q(v) == want])
-
-    chosen: list[list[Scalar]] = []
-
-    def fits(v) -> bool:
-        i = len(chosen)
-        for j, u in enumerate(chosen):
-            if dst.bilinear(u, v) != src.bilinear_generators(j, i):
-                return False
-        return True
-
-    def assemble() -> ScalarMatrix:
-        return ScalarMatrix.from_rows(
-            [[chosen[j][i] for j in range(n)] for i in range(n)]
-        )
-
-    def search() -> ScalarMatrix | None:
-        i = len(chosen)
-        if i == n:
-            t = assemble()
-            return t if t.determinant().is_nonzerodivisor() else None
-        for v in candidates[i]:
-            if fits(v):
-                chosen.append(v)
-                t = search()
-                if t is not None:
-                    return t
-                chosen.pop()
-        return None
-
-    return search()
+    With B the polar matrix and g_j = B^-1 e_j, the vectors E_i = (e_i, e_i)
+    and F_j = (g_j, 0) - sum_k C_jk E_k form a hyperbolic basis of q', where C is upper triangular with C_jj = q(g_j) and C_jk = (B^-1)_jk for
+    j < k.  T is the inverse of [E | F] = [[I, B^-1 - C^T], [I, -C^T]], in
+    closed form [[C^T B, I - C^T B], [B, -B]].  Nothing is divided, so this
+    holds over Z, Q and Z/m alike (Knus, Quadratic and Hermitian Forms over
+    Rings, ch. I: a nonsingular space with a Lagrangian is hyperbolic)."""
+    if not q.is_nonsingular():
+        raise RingError("split isometry needs a nonsingular form: det B must be a unit")
+    n, ring, b = q.rank, q.ring, q.bilinear_matrix()
+    g = b.inverse()
+    c = ScalarMatrix.from_rows([
+        [q.evaluate_q(g.col(j)) if j == k else g.entry(j, k) if j < k else ring.zero for k in range(n)]
+        for j in range(n)
+    ])
+    ctb = c.transpose() * b
+    rest, minus_b = ScalarMatrix.identity(n, ring) - ctb, -b
+    rows = [ctb.row(i) + rest.row(i) for i in range(n)]
+    return ScalarMatrix.from_rows(rows + [b.row(i) + minus_b.row(i) for i in range(n)])

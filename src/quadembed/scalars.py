@@ -566,23 +566,23 @@ class ScalarMatrix:
         return "\n".join(" ".join(str(e).rjust(4) for e in self.row(i)) for i in range(self.rows))
 
 
-def _bareiss(rows, cols, pivots, prev=1, jordan=True):
+def _bareiss(rows, cols, pivots, jordan=True):
     """Fraction-free elimination (Bareiss 1968) of integer rows, in place.
 
     Pivots on `cols` in order, appending each pivot column to `pivots`;
     pivot t moves to row t.  Every entry stays a minor of the input, so each
     division is exact.  With `jordan` the pivot columns are cleared above
-    the pivot too, and every pivot row holds the last pivot d.  Passing the
-    earlier pivots and d as `prev` resumes an elimination.  Returns d and
-    the sign of the row permutation.
+    the pivot too, and every pivot row holds the last pivot d.  Returns d
+    and the sign of the row permutation.
 
-    A pivot equal to -prev would negate every row clear of its column, so
-    the unused pivot row is negated instead: the rows then hold s times the
-    true ones for one carried sign s, which Jordan mode takes out at the
-    end.  Without `jordan` each pivot row keeps the sign of its own step,
-    so callers (`determinant`, `_rank`) read only d, the sign and `pivots`."""
+    A pivot equal to minus the previous one would negate every row clear of
+    its column, so the unused pivot row is negated instead: the rows then
+    hold s times the true ones for one carried sign s, which Jordan mode
+    takes out at the end.  Without `jordan` each pivot row keeps the sign of
+    its own step, so callers (`determinant`, `_rank`) read only d, the sign
+    and `pivots`."""
     n = len(rows)
-    sign = s = 1
+    sign = s = prev = 1
     for c in cols:
         r = len(pivots)
         p = next((i for i in range(r, n) if rows[i][c]), None)
@@ -774,8 +774,7 @@ def _unit_pivots(rows, m: int) -> tuple[int, list[list[int]]]:
 
 
 class SpanSolver:
-    """The span of column vectors over Z, Q or Z/m, for repeated solves and
-    for growing the span one vector at a time.
+    """The span of column vectors over Z, Q or Z/m, for repeated solves.
 
     Over Z and Q, fraction-free Gauss-Jordan on [I | A] (columns scaled to
     integers) leaves T with T A = d R, R reduced, and a solve is one dot
@@ -817,14 +816,10 @@ class SpanSolver:
         vs = [values[j] for j in nz]
         return [sum(map(mul, map(row.__getitem__, nz), vs)) for row in self._rows]
 
-    def _raw(self, vec) -> tuple[list[int], int]:
-        b, den = raw_row(vec, self.ring)
+    def solve(self, target) -> list[Scalar] | None:
+        b, den = raw_row(target, self.ring)
         if len(b) != self.n:
             raise ShapeError("vector length does not match span vectors")
-        return b, den
-
-    def solve(self, target) -> list[Scalar] | None:
-        b, den = self._raw(target)
         ring, r = self.ring, self.rank
         if isinstance(ring, ModularRing):
             x = _howell_solve(self._rows, self.pivots, ring.modulus, b, self.k)
@@ -850,25 +845,3 @@ class SpanSolver:
         for y, c in zip(ys, self.pivots):
             x[c - self.n] = y * self._scales[c - self.n]
         return ScalarMatrix(1, self.k, x, ring, den).flatten()
-
-    def add(self, vec) -> bool:
-        """Adjoin `vec` as one more spanning vector unless the span already
-        holds it; returns whether it was adjoined."""
-        if self.ring is not QQ and self.solve(vec) is not None:
-            return False
-        v, den = self._raw(vec)
-        if isinstance(self.ring, ModularRing):
-            for row in self._rows:
-                row.append(0)
-            self._rows.append(list(v) + [0] * self.k + [1])
-            self.pivots = _echelon(self._rows, self.n, self.ring.modulus)
-        else:
-            w = self._image(v)
-            if self.ring is QQ and not any(w[self.rank :]):
-                return False
-            for row, x in zip(self._rows, w):
-                row.append(x)
-            self._scales.append(den)
-            self._d, _ = _bareiss(self._rows, [self.n + self.k], self.pivots, self._d)
-        self.k += 1
-        return True

@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import quadembed
-from quadembed.algmat import generated_algebra_rank
 from quadembed.clifford import (
     check_graded_iso_sum,
     cl_one,
@@ -32,12 +31,12 @@ from quadembed.embedding import (
 )
 from quadembed.qspace import (
     diagonal_space,
-    find_isometry,
     hyperbolic,
     negate,
     orthogonal_sum,
+    split_isometry,
 )
-from quadembed.scalars import QQ, ScalarMatrix, ZZ
+from quadembed.scalars import QQ, RingError, ScalarMatrix, ZZ, Zmod
 from quadembed.spin import SpinContext
 from quadembed.suites import random_element, random_pair, random_space
 from quadembed.suslin import (
@@ -132,23 +131,30 @@ def test_criterion_05_graded_tensor_splitting():
 
 
 def test_criterion_06_split_form_matrix_algebra():
-    ok = True
-    for q, n in ((diagonal_space([1], QQ), 1), (hyperbolic(1, QQ), 2)):
-        doubled = orthogonal_sum(q, negate(q))
-        target = hyperbolic(n, QQ)
-        t = find_isometry(doubled, target)
-        ok = ok and t is not None
-        gens_h = catalog_generators("hyperbolic2n", n, QQ)
-        images = []
-        for i in range(doubled.rank):
-            col = [t.entry(r, i) for r in range(target.rank)]
-            total = ScalarMatrix.zero(gens_h[0].dim, gens_h[0].dim, QQ)
-            for c, g in zip(col, gens_h):
-                total = total + g.scale(c)
-            images.append(total)
-        one = ScalarMatrix.identity(gens_h[0].dim, QQ)
-        extend_universal(doubled, images, one)  # raises if the transport broke
-        ok = ok and generated_algebra_rank(images) == 4 ** n
+    ok, certified = True, []
+    for ring in (ZZ, QQ, Zmod(2), Zmod(6), Zmod(7)):
+        for q in (diagonal_space([1], ring), hyperbolic(1, ring)):
+            if not q.is_nonsingular():
+                try:
+                    split_isometry(q)
+                    ok = False
+                except RingError:
+                    pass
+                continue
+            n, doubled = q.rank, orthogonal_sum(q, negate(q))
+            t = split_isometry(q)
+            gens_h = catalog_generators("hyperbolic2n", n, ring)
+            images = []
+            for i in range(doubled.rank):
+                total = ScalarMatrix.zero(gens_h[0].dim, gens_h[0].dim, ring)
+                for r, g in enumerate(gens_h):
+                    total = total + g.scale(t.entry(r, i))
+                images.append(total)
+            one = ScalarMatrix.identity(gens_h[0].dim, ring)
+            # raises if the transport broke; full rank is C(q _|_ -q) = M_(2^n)
+            ok = ok and extend_universal(doubled, images, one).monomial_rank == 4 ** n
+            certified.append((ring.name, q.rank))
+    ok = ok and certified == [("Z", 2), ("Q", 1), ("Q", 2), ("Z/2", 2), ("Z/6", 2), ("Z/7", 1), ("Z/7", 2)]
     report(6, "doubled forms generate the full matrix algebra", ok)
 
 

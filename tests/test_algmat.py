@@ -7,14 +7,13 @@ from quadembed.algmat import (
     CliffordCoeffs,
     algebra_basis,
     block2,
-    generated_algebra_rank,
     lift_scalar_matrix,
     matrix_json,
     parity_of_block_matrix,
     span_coords,
 )
-from quadembed.clifford import monomial
-from quadembed.qspace import diagonal_space
+from quadembed.clifford import extend_universal, monomial
+from quadembed.qspace import diagonal_space, hyperbolic
 from quadembed.scalars import QQ, ScalarMatrix, ZZ
 from quadembed.suslin import suslin, suslin_embedding, suslin_pair
 
@@ -150,18 +149,21 @@ def test_span_coords_unit_matrix_outside_span():
 
 
 def test_generated_algebra_rank_examples():
-    e12 = int_mat(QQ, [[0, 1], [0, 0]])
-    e21 = int_mat(QQ, [[0, 0], [1, 0]])
-    assert generated_algebra_rank([e12, e21]) == 4
-    eye = ScalarMatrix.identity(3, QQ)
-    assert generated_algebra_rank([eye]) == 1
+    # the rank of the algebra the images generate: the monomial rank of the
+    # map out of the Clifford algebra their relations define
+    e12 = int_mat(ZZ, [[0, 1], [0, 0]])
+    e21 = int_mat(ZZ, [[0, 0], [1, 0]])
+    eye2 = ScalarMatrix.identity(2, ZZ)
+    assert extend_universal(hyperbolic(1, ZZ), [e12, e21], eye2).monomial_rank == 4
+    eye = ScalarMatrix.identity(3, ZZ)
+    assert extend_universal(diagonal_space([1], ZZ), [eye], eye).monomial_rank == 1
 
 
 def test_generated_algebra_rank_suslin_images():
     from quadembed.embedding import build_phi
 
     phi = build_phi(suslin_embedding(2, QQ))
-    assert generated_algebra_rank(phi.images) == 16
+    assert phi.monomial_rank == 16
 
 
 def test_algebra_basis_sizes():

@@ -1,18 +1,19 @@
 """Quadratic spaces, bilinear forms, and the standard constructions."""
 
 import random
+import time
 
 import pytest
 
 from quadembed.qspace import (
     QuadraticSpace,
     diagonal_space,
-    find_isometry,
     hyperbolic,
     negate,
     orthogonal_sum,
+    split_isometry,
 )
-from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ
+from quadembed.scalars import QQ, RingError, ScalarMatrix, ShapeError, ZZ, Zmod
 
 
 def rand_space(rng, ring, rank, bound=3):
@@ -129,31 +130,80 @@ def test_space_json_round_trip():
         assert QuadraticSpace.from_json(s.to_json()) == s
 
 
-def test_find_isometry_split_forms():
-    src = diagonal_space([1, -1], QQ)
-    dst = hyperbolic(1, QQ)
-    t = find_isometry(src, dst)
-    assert t is not None
+def test_split_isometry_rank_one():
+    q = diagonal_space([1], QQ)
+    src, dst = orthogonal_sum(q, negate(q)), hyperbolic(1, QQ)
+    t = split_isometry(q)
     rng = random.Random(5)
     for _ in range(50):
         x = [QQ(rng.randint(-5, 5)) for _ in range(2)]
         assert dst.evaluate_q(t.apply(x)) == src.evaluate_q(x)
 
 
-def test_find_isometry_double_hyperbolic():
+def test_split_isometry_double_hyperbolic():
     h = hyperbolic(1, QQ)
-    src = orthogonal_sum(h, negate(h))
-    dst = hyperbolic(2, QQ)
-    t = find_isometry(src, dst)
-    assert t is not None
+    src, dst = orthogonal_sum(h, negate(h)), hyperbolic(2, QQ)
+    t = split_isometry(h)
     rng = random.Random(6)
     for _ in range(50):
         x = [QQ(rng.randint(-5, 5)) for _ in range(4)]
         assert dst.evaluate_q(t.apply(x)) == src.evaluate_q(x)
 
 
-def test_find_isometry_fails_for_non_isometric_forms():
-    # q = x^2 never represents -1 over Q with the small pool
-    src = diagonal_space([-1], QQ)
-    dst = diagonal_space([1], QQ)
-    assert find_isometry(src, dst) is None
+def test_split_isometry_refuses_singular_forms():
+    # over Z, x^2 - y^2 never takes a value = 2 mod 4 but xy does, so no
+    # isometry exists; det B = 2 is not a unit over Z or Z/6
+    for ring in (ZZ, Zmod(6)):
+        q = diagonal_space([1], ring)
+        assert not q.is_nonsingular()
+        with pytest.raises(RingError):
+            split_isometry(q)
+
+
+def split_failures(q, t) -> int:
+    """Basis checks of q_H(T x) = q'(x), q' = orthogonal_sum(q, negate(q)),
+    that T fails: q on every basis vector and the pairing on every basis
+    pair.  Both sides are quadratic forms, so no failure proves the identity
+    (polarisation)."""
+    src, dst = orthogonal_sum(q, negate(q)), hyperbolic(q.rank, q.ring)
+    cols = [t.col(i) for i in range(src.rank)]
+    bad = sum(dst.evaluate_q(cols[i]) != src.q_generator(i) for i in range(src.rank))
+    for i in range(src.rank):
+        for j in range(i + 1, src.rank):
+            bad += dst.bilinear(cols[i], cols[j]) != src.bilinear_generators(i, j)
+    return bad
+
+
+def test_split_isometry_polarisation_proof_over_every_ring():
+    rng = random.Random(7)
+    proved = 0
+    for ring in (ZZ, QQ, Zmod(2), Zmod(6), Zmod(7)):
+        spaces = [hyperbolic(n, ring) for n in (1, 2, 3)] + [diagonal_space([1, 2, 3], ring)]
+        if ring is QQ:
+            spaces += [rand_space(rng, QQ, rank) for rank in (4, 6, 8)]
+        for q in spaces:
+            if not q.is_nonsingular():
+                with pytest.raises(RingError):
+                    split_isometry(q)
+                continue
+            # over Q, a {-1, 0, 1} backtrack gave up on diag(1, 2, 3) after
+            # seconds and never finished hyperbolic(2)
+            start = time.perf_counter()
+            t = split_isometry(q)
+            assert time.perf_counter() - start < 1.0
+            assert t.determinant().is_unit()
+            assert split_failures(q, t) == 0
+            proved += 1
+    # hyperbolic(1-3) everywhere, diag(1, 2, 3) over Q and Z/7, random Q forms
+    assert proved == 5 * 3 + 2 + 3
+
+
+def test_split_isometry_proof_sees_a_planted_defect():
+    # T without the C correction, [[0, I], [B, -B]]: its F_j are not isotropic
+    q = hyperbolic(2, QQ)
+    n, b = q.rank, q.bilinear_matrix()
+    top = [[QQ(0)] * n + [QQ(int(i == j)) for j in range(n)] for i in range(n)]
+    minus_b = -b
+    t = ScalarMatrix.from_rows(top + [b.row(i) + minus_b.row(i) for i in range(n)])
+    assert t.determinant().is_unit()
+    assert split_failures(q, t) == 8

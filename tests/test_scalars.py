@@ -453,30 +453,22 @@ def test_span_solver_agrees_with_solve_in_ring():
                 [ring(rng.randint(-4, 4)) for _ in range(n)] for _ in range(k)
             ]
             solver = SpanSolver(cols, ring)
-            grown = SpanSolver(cols[:1], ring)
-            kept = [cols[0]] + [c for c in cols[1:] if grown.add(c)]
-            assert grown.rank == solver.rank
             target = [ring(rng.randint(-4, 4)) for _ in range(n)]
             a = ScalarMatrix.from_rows(
                 [[cols[j][i] for j in range(k)] for i in range(n)]
             )
             direct = solve_in_ring(a, target)
             cached = solver.solve(target)
-            incremental = grown.solve(target)
-            assert (direct is None) == (cached is None) == (incremental is None)
+            assert (direct is None) == (cached is None)
             if direct is not None:
                 assert a.apply(cached) == target
-                combo = [ring(0)] * n
-                for c, x in zip(kept, incremental):
-                    combo = [s + x * v for s, v in zip(combo, c)]
-                assert combo == target
 
 
-def full_negation_bareiss(rows, cols, pivots, prev=1, jordan=True):
-    """Bareiss as it read before the carried sign: a pivot equal to -prev
-    rewrites every row clear of its column as its negation."""
+def full_negation_bareiss(rows, cols, pivots, jordan=True):
+    """Bareiss as it read before the carried sign: a pivot equal to minus
+    the previous one rewrites every row clear of its column as its negation."""
     n = len(rows)
-    sign = 1
+    sign = prev = 1
     for c in cols:
         r = len(pivots)
         p = next((i for i in range(r, n) if rows[i][c]), None)
@@ -520,10 +512,7 @@ def test_bareiss_carried_sign_leaves_the_full_negation_integers():
                 gp, wp = [], []
                 g = scalars._bareiss(got, range(split), gp, jordan=jordan)
                 w = full_negation_bareiss(want, range(split), wp, jordan=jordan)
-                if jordan:  # resume from the first call's d, as SpanSolver.add does
-                    assert got == want
-                    g = scalars._bareiss(got, range(split, k), gp, g[0])
-                    w = full_negation_bareiss(want, range(split, k), wp, w[0])
+                if jordan:
                     assert got == want
                 assert (g, gp) == (w, wp)
 
