@@ -113,11 +113,18 @@ class AlgMatrix:
         if not isinstance(other, AlgMatrix):
             return NotImplemented
         self._check(other)
-        zero, cols = self.algebra.zero(), list(zip(*other.entries))
-        return AlgMatrix(self.algebra, [
-            [sum((a * b for a, b in zip(row, col) if not (a.is_zero or b.is_zero)), zero) for col in cols]
-            for row in self.entries
-        ])
+        # each row sums a_ik b_kj over its non-zero a_ik and the non-zero b_kj of row k
+        zero = self.algebra.zero()
+        nonzero = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [None] * self.dim
+            for a, bs in zip(row, nonzero):
+                if a.terms:
+                    for j, b in bs:
+                        acc[j] = a * b if acc[j] is None else acc[j] + a * b
+            out.append([zero if c is None else c for c in acc])
+        return AlgMatrix(self.algebra, out)
 
     def scale(self, s: Scalar) -> "AlgMatrix":
         return AlgMatrix(self.algebra, [[a.scale(s) for a in row] for row in self.entries])
@@ -144,6 +151,11 @@ class AlgMatrix:
     def flatten(self) -> list[Scalar]:
         """Row-major concatenation of the entries' coefficient vectors."""
         return [c for row in self.entries for a in row for c in a.coefficients()]
+
+    def raw_values(self) -> list:
+        """The values of `flatten()`, read from the terms; absent ones are 0."""
+        masks = range(1 << self.algebra.space.rank)
+        return [a.terms[m].value if m in a.terms else 0 for row in self.entries for a in row for m in masks]
 
     def blocks2(self):
         """Split an even-dimensional matrix into its four half-size blocks."""

@@ -81,9 +81,6 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mask: int) -> Scalar:
-        return self.terms.get(mask, self.space.ring.zero)
-
     def coefficients(self) -> list[Scalar]:
         """Dense coordinate vector over the monomial basis, mask order."""
         zero = self.space.ring.zero
@@ -273,15 +270,17 @@ def extend_universal(space: QuadraticSpace, images, one) -> UniversalMap:
     images = list(images)
     if len(images) != space.rank:
         raise ShapeError("need one image per generator")
+    n = space.rank
+    forms = {(i, j): space.bilinear_generators(i, j) if i < j else space.q_generator(i)
+             for i in range(n) for j in range(i, n)}
+    scaled = {s: one.scale(s) for s in set(forms.values())}  # one per distinct value
     for i, gi in enumerate(images):
-        want = one.scale(space.q_generator(i))
-        if gi * gi != want:
+        if gi * gi != scaled[forms[i, i]]:
             raise CliffordRelationError(i, i, f"image {i} squares incorrectly")
-    for i in range(space.rank):
-        for j in range(i + 1, space.rank):
-            want = one.scale(space.bilinear_generators(i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
             got = images[i] * images[j] + images[j] * images[i]
-            if got != want:
+            if got != scaled[forms[i, j]]:
                 raise CliffordRelationError(i, j, f"images {i},{j} violate the polarised relation")
     return UniversalMap(space, images, one)
 
@@ -351,11 +350,12 @@ class GradedTensorElement:
         ps = {(bin(a).count("1") + bin(b).count("1")) % 2 for a, b in self.terms}
         return ps.pop() if len(ps) == 1 else None
 
-    def flatten(self) -> list[Scalar]:
+    def raw_values(self) -> list:
+        """Coefficient values, left mask major; an absent pair is a plain 0."""
         n1, n2 = self.algebra.left_space.rank, self.algebra.right_space.rank
-        out = [self.algebra.ring.zero] * (1 << (n1 + n2))
+        out = [0] * (1 << (n1 + n2))
         for (a, b), c in self.terms.items():
-            out[(a << n2) | b] = c
+            out[(a << n2) | b] = c.value
         return out
 
 

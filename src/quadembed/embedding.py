@@ -20,13 +20,7 @@ from .algmat import (
     lift_scalar_matrix,
     span_coords,
 )
-from .clifford import (
-    CliffordElement,
-    UniversalMap,
-    extend_universal,
-    monomial,
-    standard_involution,
-)
+from .clifford import CliffordElement, UniversalMap, monomial, standard_involution
 from .qspace import QuadraticSpace
 from .scalars import RingError, Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value
 
@@ -73,8 +67,9 @@ class Embedding:
 
     `algebra` is the entry algebra: the base ring itself for ScalarMatrix
     images, a CliffordCoeffs for AlgMatrix images.  An embedding is treated
-    as immutable once built: it keeps its span solver, its certified doubled
-    map and its involution lifts, each computed on first use."""
+    as immutable once built: it keeps its span solver, its barred basis
+    images, its validation report, its certified doubled map and its
+    involution lifts, each computed on first use."""
 
     def __init__(
         self,
@@ -107,6 +102,7 @@ class Embedding:
         self.alpha = alpha
         self.involution = involution
         self.a_star = a_star
+        self._report = None
         self._phi = None
         self._lifts = {}
 
@@ -134,17 +130,25 @@ class Embedding:
     def bar_coords(self, coords) -> list[Scalar]:
         return self.alpha.apply(self.space.coordinates(coords))
 
-    def rho_of(self, coords):
-        """Image of the vector with the given coordinates."""
-        coords = self.space.coordinates(coords)
+    @cached_property
+    def rho_bar(self) -> tuple:
+        """The images of the barred basis vectors, rho(alpha e_i)."""
+        return tuple(self.rho_of(self.alpha.col(i)) for i in range(self.space.rank))
+
+    def _combination(self, coords, images):
         total = None
-        for c, m in zip(coords, self.rho):
+        for c, m in zip(self.space.coordinates(coords), images):
             if not c.is_zero:
                 total = m.scale(c) if total is None else total + m.scale(c)
         return total if total is not None else self.zero_matrix()
 
+    def rho_of(self, coords):
+        """Image of the vector with the given coordinates."""
+        return self._combination(coords, self.rho)
+
     def rho_bar_of(self, coords):
-        return self.rho_of(self.bar_coords(coords))
+        """rho(bar v), as the same combination of the barred basis images."""
+        return self._combination(coords, self.rho_bar)
 
     def to_json(self):
         if self.scalar_entries:
@@ -186,14 +190,16 @@ class ValidationReport:
 def validate_embedding(e: Embedding) -> ValidationReport:
     """Check every defining identity of the embedding, exactly.
 
-    Failures are collected into the report rather than raised.
+    Failures are collected into the report rather than raised.  The report
+    is kept on `e`, so later calls return the same object.
     """
+    if e._report is not None:
+        return e._report
     failures = []
     space = e.space
     n = space.rank
     one = e.identity_matrix()
-    rho = e.rho
-    rbar = [e.rho_bar_of(space.basis_vector(i)) for i in range(n)]
+    rho, rbar = e.rho, e.rho_bar
 
     for i in range(n):
         q = space.q_generator(i)
@@ -209,17 +215,15 @@ def validate_embedding(e: Embedding) -> ValidationReport:
             if rbar[i] * rho[j] + rbar[j] * rho[i] != want:
                 failures.append(f"mirrored polarised identity fails at ({i+1},{j+1})")
 
-    # alpha preserves the form: checking q on basis vectors and the pairing
-    # on basis pairs pins it down for every vector.
+    # alpha preserves the form: q(alpha x) = x^T g x, so checking g_ii = q(e_i)
+    # and g_ij + g_ji = <e_i, e_j> on basis pairs pins it down for every vector.
+    g = e.alpha.transpose() * space.qmatrix * e.alpha
     for i in range(n):
-        ai = e.bar_coords(space.basis_vector(i))
-        if space.evaluate_q(ai) != space.q_generator(i):
+        if g.entry(i, i) != space.q_generator(i):
             failures.append(f"bar map does not preserve q(e{i+1})")
     for i in range(n):
-        ai = e.bar_coords(space.basis_vector(i))
         for j in range(i + 1, n):
-            aj = e.bar_coords(space.basis_vector(j))
-            if space.bilinear(ai, aj) != space.bilinear_generators(i, j):
+            if g.entry(i, j) + g.entry(j, i) != space.bilinear_generators(i, j):
                 failures.append(f"bar map does not preserve <e{i+1},e{j+1}>")
 
     for i in range(n):
@@ -230,7 +234,8 @@ def validate_embedding(e: Embedding) -> ValidationReport:
         if others and span_coords(others, rho[i]) is not None:
             failures.append(f"rho(e{i+1}) depends on the other basis images")
 
-    return ValidationReport(not failures, failures)
+    e._report = ValidationReport(not failures, failures)
+    return e._report
 
 
 def build_phi(e: Embedding) -> UniversalMap:
@@ -239,8 +244,13 @@ def build_phi(e: Embedding) -> UniversalMap:
     Requires a validated embedding with a non-degenerate form, over Z, Q
     or Z/m; raises InjectivityError if the monomial images become
     dependent over the ring (which the theory rules out for
-    non-degenerate forms).  The certified map is kept on `e`, so later
-    calls return the same object; a failure is not kept and raises again.
+    non-degenerate forms).  The generator relations need no check of
+    their own: for g_i = [[0, rho_i], [bar_i, 0]], g_i^2 is
+    diag(rho_i bar_i, bar_i rho_i) and g_i g_j + g_j g_i is
+    diag(rho_i bar_j + rho_j bar_i, bar_i rho_j + bar_j rho_i), so block by
+    block they are the four product identities of `validate_embedding`.
+    The certified map is kept on `e`, so later calls return the same
+    object; a failure is not kept and raises again.
     """
     if e._phi is not None:
         return e._phi
@@ -249,13 +259,9 @@ def build_phi(e: Embedding) -> UniversalMap:
         raise EmbeddingError(f"embedding axioms fail: {report.failures}")
     if not e.space.is_nondegenerate():
         raise EmbeddingError("quadratic space must be non-degenerate")
-    zero = e.zero_matrix()
-    images = [
-        block2(zero, e.rho[i], e.rho_bar_of(e.space.basis_vector(i)), zero)
-        for i in range(e.space.rank)
-    ]
-    one = e.identity_matrix()
-    phi = extend_universal(e.space, images, block2(one, zero, zero, one))
+    zero, one = e.zero_matrix(), e.identity_matrix()
+    images = [block2(zero, m, mbar, zero) for m, mbar in zip(e.rho, e.rho_bar)]
+    phi = UniversalMap(e.space, images, block2(one, zero, zero, one))
     if not phi.injective:
         raise InjectivityError(
             f"monomial image rank {phi.monomial_rank} < {1 << e.space.rank}"
@@ -353,7 +359,7 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
     u = form.u
 
     for i, m in enumerate(e.rho):
-        want = m.scale(u) if form.form == 1 else e.rho_bar_of(e.space.basis_vector(i)).scale(u)
+        want = (m if form.form == 1 else e.rho_bar[i]).scale(u)
         if star(m) != want:
             raise InvolutionError(
                 f"entry involution disagrees with form {form.form} on basis image {i+1}",
@@ -375,7 +381,7 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
     lifted = LiftedInvolution(e, form)
     zero = e.zero_matrix()
     for i, m in enumerate(e.rho):
-        z = block2(zero, m, e.rho_bar_of(e.space.basis_vector(i)), zero)
+        z = block2(zero, m, e.rho_bar[i], zero)
         if lifted(z) != -z:
             raise InvolutionError(
                 f"lifted involution does not negate basis image {i+1}", basis_index=i

@@ -309,12 +309,13 @@ def parse_scalar(text: str, ring: Ring) -> Scalar:
 
 def raw_row(x, ring: Ring) -> tuple[list[int] | tuple[int, ...], int]:
     """Values as integers over one denominator, which is 1 off Q: a
-    ScalarMatrix's own values, unboxed, or the Scalars of a sequence (or of
-    the coefficient vector `flatten()` gives an AlgMatrix or a tensor
-    element) over the least denominator that clears every entry."""
+    ScalarMatrix's own values, unboxed, or the values of a sequence of
+    Scalars (or the flat coefficient values `raw_values()` gives an
+    AlgMatrix or a tensor element) over the least denominator that clears
+    every entry."""
     if isinstance(x, ScalarMatrix):
         return x.values, x.den
-    values = [s.value for s in (x.flatten() if hasattr(x, "flatten") else x)]
+    values = x.raw_values() if hasattr(x, "raw_values") else [s.value for s in x]
     if ring is not QQ:
         return values, 1
     den = math.lcm(*map(_denominator, values))

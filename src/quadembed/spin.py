@@ -45,7 +45,9 @@ class GroupElement(_Value):
 class SpinContext:
     """The doubled map and lifted involution of one embedding over Z, Q or
     Z/m (both kept on the embedding) plus cached span solvers, so group
-    membership tests stay cheap."""
+    membership tests stay cheap.  `is_in_g`, `norm_d` and `is_in_spin` keep
+    the last member or norm they proved, matched by identity, so `chi` and
+    `chi_inverse` do not re-prove what the caller just checked."""
 
     def __init__(self, e: Embedding):
         if not e.scalar_entries:
@@ -72,6 +74,7 @@ class SpinContext:
         self._zero = e.zero_matrix()
         one = e.identity_matrix()
         self._one2 = block2(one, self._zero, self._zero, one)
+        self._in_g, self._in_spin, self._norm = None, None, (None, None)
 
     # -- membership ---------------------------------------------------
 
@@ -120,24 +123,31 @@ class SpinContext:
     def is_in_g(self, g) -> bool:
         """Invertible and the action keeps every basis vector inside V."""
         m = self._matrix(g)
+        if m is self._in_g:
+            return True
         if not m.determinant().is_unit():
             return False
         for i in range(self.space.rank):
             w = self.bullet(m, self.space.basis_vector(i))
             if self.v_coords(w) is None:
                 return False
+        self._in_g = m
         return True
 
     def norm_d(self, g) -> Scalar:
         """q of the V-coordinates of g g-star."""
         m = self._matrix(g)
-        coords = self.v_coords(m * self.star(m))
-        if coords is None:
-            raise NormUndefinedError("g g* left the embedded space")
-        return self.space.evaluate_q(coords)
+        if m is not self._norm[0]:
+            coords = self.v_coords(m * self.star(m))
+            if coords is None:
+                raise NormUndefinedError("g g* left the embedded space")
+            self._norm = (m, self.space.evaluate_q(coords))
+        return self._norm[1]
 
     def is_in_spin(self, p: EvenPair) -> bool:
         """Norm-one even pair whose conjugation preserves the vector image."""
+        if p is self._in_spin:
+            return True
         if not self.is_in_u0(p):
             return False
         x = self.diag(p)
@@ -146,6 +156,7 @@ class SpinContext:
             conj = x * img * xinv
             if self._phi_solver.solve(conj) is None:
                 return False
+        self._in_spin = p
         return True
 
     def conjugation_coords(self, p: EvenPair, v) -> list[Scalar] | None:

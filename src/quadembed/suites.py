@@ -135,7 +135,7 @@ def _suslin_identities(cfg: SuiteConfig) -> CheckResult:
         for _ in range(cfg.samples):
             p = random_pair(rng, cfg.ring, n + 1)
             report = check_suslin_identities(p)
-            if not report.product_ok or (n <= 3 and report.det_ok is False):
+            if not report.product_ok or report.det_ok is False:
                 failures.append(report.to_json())
     return _result("identities", failures, sizes=[2, 4, 8, 16])
 

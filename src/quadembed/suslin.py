@@ -332,13 +332,8 @@ def catalog_generators(family: str, n: int, ring: Ring) -> list:
     zero = eye.scale(ring.zero)
     gens = []
     for l in lam:
-        diag = AlgMatrix(
-            algebra,
-            [
-                [l if i == j else algebra.zero() for j in range(half)]
-                for i in range(half)
-            ],
-        )
+        diag = AlgMatrix(algebra, [[l if i == j else algebra.zero() for j in range(half)]
+                                   for i in range(half)])
         gens.append(block2(diag, zero, zero, -diag))
     for p in _unit_pairs(n, ring):
         top = lift_scalar_matrix(suslin(p), algebra)

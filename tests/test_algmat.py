@@ -1,6 +1,7 @@
 """Matrices over scalar and Clifford coefficient algebras."""
 
 import random
+from fractions import Fraction
 
 from quadembed.algmat import (
     AlgMatrix,
@@ -12,9 +13,9 @@ from quadembed.algmat import (
     parity_of_block_matrix,
     span_coords,
 )
-from quadembed.clifford import extend_universal, monomial
-from quadembed.qspace import diagonal_space, hyperbolic
-from quadembed.scalars import QQ, ScalarMatrix, ZZ
+from quadembed.clifford import CliffordElement, extend_universal, monomial
+from quadembed.qspace import QuadraticSpace, diagonal_space, hyperbolic
+from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod, raw_row
 from quadembed.suslin import suslin, suslin_embedding, suslin_pair
 
 
@@ -202,3 +203,46 @@ def test_matrix_json_shapes():
     cdata = matrix_json(c)
     assert cdata["algebra"]["kind"] == "clifford"
     assert cdata["entries"][0][0] == {"terms": [{"mask": 0, "coeff": "1"}]}
+
+
+def rand_clifford_mat(rng, alg, dim, zero_share=0.5):
+    """Entries with at most 3 terms, about `zero_share` of them zero."""
+    def entry():
+        if rng.random() < zero_share:
+            return alg.zero()
+        terms = {rng.randrange(1 << alg.space.rank): rng.randint(-3, 3) for _ in range(3)}
+        return CliffordElement(alg.space, {m: alg.ring(c) for m, c in terms.items()})
+    return AlgMatrix(alg, [[entry() for _ in range(dim)] for _ in range(dim)])
+
+
+def test_sparse_clifford_entry_product_matches_the_dense_sum():
+    rng = random.Random(11)
+    for ring in (ZZ, QQ, Zmod(6)):
+        general = QuadraticSpace(ScalarMatrix.of_ints(ring, [[-1, 2], [0, 3]]))
+        for space in (diagonal_space([-1], ring), general):
+            alg = CliffordCoeffs(space)
+            for dim in (1, 2, 4):
+                for zero_share in (0.0, 0.5, 0.9):
+                    a = rand_clifford_mat(rng, alg, dim, zero_share)
+                    b = rand_clifford_mat(rng, alg, dim, zero_share)
+                    want = [
+                        [sum((a.entry(i, k) * b.entry(k, j) for k in range(dim)), alg.zero())
+                         for j in range(dim)]
+                        for i in range(dim)
+                    ]
+                    assert (a * b).entries == AlgMatrix(alg, want).entries
+    alg = CliffordCoeffs(diagonal_space([-1], ZZ))
+    assert (AlgMatrix.zero(alg, 3) * rand_clifford_mat(rng, alg, 3, 0.0)).is_zero()
+
+
+def test_raw_read_of_a_clifford_entry_matrix_is_its_flattened_values():
+    rng = random.Random(12)
+    for ring in (ZZ, QQ, Zmod(6)):
+        alg = CliffordCoeffs(diagonal_space([-1, 1], ring))
+        for zero_share in (0.0, 0.5, 1.0):
+            m = rand_clifford_mat(rng, alg, 3, zero_share)
+            if ring is QQ:
+                m = m.scale(QQ(Fraction(1, 6)))
+            flat = m.flatten()
+            assert m.raw_values() == [c.value for c in flat]
+            assert raw_row(m, ring) == raw_row(flat, ring)

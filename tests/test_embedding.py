@@ -373,3 +373,78 @@ def test_embedding_json_descriptor():
         ["1", "0", "0", "0"],
         ["0", "0", "0", "-1"],
     ]
+
+
+def test_barred_images_combine_to_the_image_of_the_barred_vector():
+    rng = random.Random(21)
+    beds = [suslin_embedding(n, ring) for n in (2, 3) for ring in (ZZ, QQ, Zmod(6))]
+    beds.append(clifford_self_embedding(rand_space(rng, ZZ, 3)))
+    for e in beds:
+        assert e.rho_bar is e.rho_bar
+        for i in range(e.space.rank):
+            assert e.rho_bar[i] == e.rho_of(e.bar_coords(e.space.basis_vector(i)))
+        for _ in range(10):
+            v = rand_vector(rng, e.space)
+            assert e.rho_bar_of(v) == e.rho_of(e.bar_coords(v))
+        zero = [e.ring.zero] * e.space.rank
+        assert e.rho_bar_of(zero) == e.zero_matrix()
+
+
+def test_validation_is_kept_on_the_embedding():
+    for e in (suslin_embedding(2, ZZ), suslin_embedding(3, Zmod(6)),
+              clifford_self_embedding(hyperbolic(1, ZZ))):
+        report = validate_embedding(e)
+        assert report.passed and validate_embedding(e) is report
+
+
+def test_build_phi_checks_no_relations_beyond_validation(monkeypatch):
+    import quadembed.clifford as clifford
+    import quadembed.embedding as embedding
+
+    def refuse(*args):
+        raise AssertionError("build_phi re-checked the generator relations")
+
+    monkeypatch.setattr(clifford, "extend_universal", refuse)
+    monkeypatch.setattr(embedding, "extend_universal", refuse, raising=False)
+    for e in (suslin_embedding(2, ZZ), suslin_embedding(3, QQ), suslin_embedding(3, Zmod(6)),
+              clifford_self_embedding(hyperbolic(2, ZZ))):
+        phi = build_phi(e)
+        assert phi.injective
+        one = build_phi(e).one
+        for i, g in enumerate(phi.images):
+            assert g * g == one.scale(e.space.q_generator(i))
+
+
+def test_a_perturbed_bar_column_fails_build_phi_with_the_validation_message():
+    e = suslin_embedding(2, ZZ)
+    n = e.space.rank
+    bumped = [v + int(k == 1) for k, v in enumerate(e.alpha.values)]  # column 1 gains e_1
+    broken = Embedding(e.space, e.algebra, e.dim, e.rho, ScalarMatrix(n, n, bumped, ZZ),
+                       e.involution, e.a_star)
+    report = validate_embedding(broken)
+    assert not report.passed
+    for _ in range(2):
+        with pytest.raises(EmbeddingError) as err:
+            build_phi(broken)
+        assert str(err.value) == f"embedding axioms fail: {report.failures}"
+    assert validate_embedding(broken) is report
+
+
+def test_bar_map_form_checks_match_q_on_the_barred_basis():
+    """The bar map's q and pairing failures are those that q and the
+    polarised form, evaluated on the columns of alpha, give."""
+    rng = random.Random(22)
+    for ring in (ZZ, QQ, Zmod(6)):
+        space = rand_space(rng, ring, 3)
+        rho = clifford_self_embedding(space).rho
+        for _ in range(20):
+            alpha = ScalarMatrix(3, 3, [rng.randint(-2, 2) for _ in range(9)], ring)
+            e = Embedding(space, rho[0].algebra, 1, rho, alpha)
+            cols = [alpha.col(i) for i in range(3)]
+            want = [f"bar map does not preserve q(e{i+1})" for i in range(3)
+                    if space.evaluate_q(cols[i]) != space.q_generator(i)]
+            want += [f"bar map does not preserve <e{i+1},e{j+1}>"
+                     for i in range(3) for j in range(i + 1, 3)
+                     if space.bilinear(cols[i], cols[j]) != space.bilinear_generators(i, j)]
+            got = [f for f in validate_embedding(e).failures if f.startswith("bar map")]
+            assert got == want

@@ -258,3 +258,45 @@ def test_lemma_report_json_shape():
     assert report["lemma"] == "4.4"
     assert report["samples"] == 5
     assert report["failures"] == []
+
+
+
+def test_chi_and_chi_inverse_reject_non_members_after_a_proof():
+    """The membership and norm each check last proved are kept, matched by
+    identity: any other value is checked in full."""
+    for ring in (ZZ, QQ, Zmod(6)):
+        ctx = SpinContext(suslin_embedding(3, ring))
+        g = ctx.elementary(0, 2, 1)
+        assert ctx.is_in_g(g) is True and ctx.norm_d(g) == ring.one
+        pair = ctx.chi_inverse(g)
+        assert ctx.is_in_spin(pair) is True and ctx.chi(pair).matrix == g
+        # 2I is outside G over Z and Z/6, and has norm 16 over Q
+        dilation = ctx.embedding.identity_matrix().scale(ring(2))
+        assert ctx.is_in_g(dilation) is (ring is QQ)
+        for _ in range(2):
+            with pytest.raises(SpinError):
+                ctx.chi_inverse(dilation)
+            assert ctx.is_in_g(g) is True and ctx.norm_d(g) == ring.one
+        bad = EvenPair(g, g)
+        for _ in range(2):
+            assert ctx.is_in_spin(bad) is False
+            with pytest.raises(SpinError):
+                ctx.chi(bad)
+            assert ctx.is_in_spin(pair) is True
+
+
+def test_chi_and_chi_inverse_do_not_re_prove_the_value_just_checked(monkeypatch):
+    ctx = ctx_z()
+    g = ctx.sample_elementary_product(random.Random(8))
+    assert ctx.is_in_g(g) and ctx.norm_d(g) == ZZ.one
+
+    def refuse(*args):
+        raise AssertionError("re-proved a value the context has just proved")
+
+    for name in ("v_coords", "bullet", "is_in_u0"):
+        monkeypatch.setattr(ctx, name, refuse)
+    pair = ctx.chi_inverse(g)
+    monkeypatch.undo()
+    assert ctx.is_in_spin(pair)
+    monkeypatch.setattr(ctx, "is_in_u0", refuse)
+    assert ctx.chi(pair).matrix == g

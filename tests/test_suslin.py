@@ -449,3 +449,23 @@ def test_catalog_guards():
         catalog_generators("hyperbolic2n", 3, ZZ)
     with pytest.raises(ValueError):
         catalog_generators("nonsense", 1, ZZ)
+
+
+def test_suslin_suite_counts_a_wrong_size_16_determinant(monkeypatch):
+    """The identities check computes det S for size 16 (n = 4) as for the
+    smaller sizes; a wrong size-16 determinant must fail it too."""
+    import quadembed.suites as suites
+
+    real = ScalarMatrix.determinant
+
+    def planted(m):
+        det = real(m)
+        return det + m.ring.one if m.rows == 16 else det
+
+    monkeypatch.setattr(ScalarMatrix, "determinant", planted)
+    for ring in (ZZ, QQ, Zmod(6)):
+        report = suites.run_suite(suites.SuiteConfig(suite="suslin", samples=2, ring=ring))
+        identities = next(c for c in report["checks"] if c["name"] == "identities")
+        assert not identities["passed"]
+        assert {f["n"] for f in identities["failures"]} == {4}
+        assert all(f["det_ok"] is False for f in identities["failures"])
