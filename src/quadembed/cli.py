@@ -126,7 +126,7 @@ def _cmd_iso(args) -> int:
             "ring": ring.name,
             "monomials": monomials,
             "rank": phi.monomial_rank,
-            "isomorphism": phi.monomial_rank == monomials,
+            "isomorphism": phi.bijective,
         }
     )
     return 0

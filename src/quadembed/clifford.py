@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .qspace import QuadraticSpace, orthogonal_sum
-from .scalars import RingError, Scalar, ShapeError, rank_in_ring, raw_row
+from .scalars import ZZ, RingError, Scalar, ShapeError, is_unimodular, rank_in_ring, raw_row
 
 RANK_LIMIT = 12
 
@@ -222,7 +222,8 @@ def pbw_basis(space: QuadraticSpace) -> list[CliffordElement]:
 
 class UniversalMap:
     """Algebra map out of Cl(V, q) determined by images of the generators;
-    injective when its monomial images are independent (`rank_in_ring`)."""
+    injective when its monomial images are independent (`rank_in_ring`),
+    bijective when they are a basis of the target (`bijective`)."""
 
     def __init__(self, space: QuadraticSpace, images, one):
         self.space = space
@@ -250,6 +251,18 @@ class UniversalMap:
     @property
     def injective(self) -> bool:
         return self.monomial_rank == 1 << self.space.rank
+
+    @cached_property
+    def bijective(self) -> bool:
+        """Whether the monomial images are a basis of the free module their
+        entries live in: as many as its rank, independent, and over Z of
+        determinant +-1 (`is_unimodular`).  Over Q and Z/m independence is
+        enough, since a non-zero-divisor of a field or a finite ring is a
+        unit."""
+        ring, images = self.space.ring, self.monomial_images
+        if len(raw_row(images[0], ring)[0]) != len(images) or not self.injective:
+            return False
+        return ring is not ZZ or is_unimodular(images)
 
     def __call__(self, a: CliffordElement):
         if a.space != self.space:

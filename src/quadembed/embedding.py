@@ -67,7 +67,7 @@ class Embedding:
 
     `algebra` is the entry algebra: the base ring itself for ScalarMatrix
     images, a CliffordCoeffs for AlgMatrix images.  An embedding is treated
-    as immutable once built: it keeps its span solver, its barred basis
+    as immutable once built: it keeps its span solvers, its barred basis
     images, its validation report, its certified doubled map and its
     involution lifts, each computed on first use."""
 
@@ -114,6 +114,12 @@ class Embedding:
     def v_span(self) -> SpanSolver:
         """The span of the basis images, built on first use."""
         return SpanSolver(self.rho, self.ring)
+
+    @cached_property
+    def even_span(self) -> SpanSolver:
+        """The span of `build_phi`'s even monomial images, built on first use."""
+        phi = build_phi(self)
+        return SpanSolver([phi.image_of_mask(m) for m in _even_masks(self.space.rank)], self.ring)
 
     @property
     def scalar_entries(self) -> bool:
@@ -414,24 +420,28 @@ def standard_involution_restriction(e: Embedding) -> bool | None:
 
     Needs every diag(a, a), for a in a module basis of A, to be certified
     inside the image of the doubled map; returns None when some diagonal
-    escapes that image, True/False otherwise.
+    escapes that image, True/False otherwise.  `even_span` suffices: the
+    odd images are block-antidiagonal and all are independent, so diag(a, a)
+    has no odd coordinates.
     """
-    phi = build_phi(e)
-    solver = SpanSolver(phi.monomial_images, e.ring)
+    phi, masks = build_phi(e), _even_masks(e.space.rank)
     zero = e.zero_matrix()
     for a in algebra_basis(e.algebra, e.dim):
-        diag = block2(a, zero, zero, a)
-        coords = solver.solve(diag)
+        coords = e.even_span.solve(block2(a, zero, zero, a))
         if coords is None:
             return None
         element = CliffordElement(
-            e.space, {m: c for m, c in enumerate(coords) if not c.is_zero}
+            e.space, {m: c for m, c in zip(masks, coords) if not c.is_zero}
         )
         image = phi(standard_involution(element))
         ia, ib, ic, id_ = image.blocks2()
         if not ib.is_zero() or not ic.is_zero() or ia != id_:
             return False
     return True
+
+
+def _even_masks(rank: int) -> list[int]:
+    return [m for m in range(1 << rank) if bin(m).count("1") % 2 == 0]
 
 
 def clifford_self_embedding(space: QuadraticSpace) -> Embedding:

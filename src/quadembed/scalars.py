@@ -424,6 +424,11 @@ class ScalarMatrix:
     def is_zero(self) -> bool:
         return not any(self.values)
 
+    def is_scalar(self) -> bool:
+        """Whether the square matrix is c I for some c in its ring."""
+        n, v = self.dim, self.values
+        return all(x == v[0] if i % (n + 1) == 0 else not x for i, x in enumerate(v))
+
     def blocks2(self):
         """Split an even-dimensional square matrix into its four half-size blocks."""
         h, odd = divmod(self.dim, 2)
@@ -710,6 +715,23 @@ def rank_in_ring(vectors, ring: Ring) -> int:
     matrix = isinstance(vectors, ScalarMatrix)
     rows = vectors._elimination_rows()[0] if matrix else [raw_row(v, ring)[0] for v in vectors]
     return _rank(rows, ring.modulus)
+
+
+def is_unimodular(vectors) -> bool:
+    """Whether vectors over Z, read by `raw_row`, are the rows of a square
+    matrix of determinant +-1.  Unit pivots first (`_unit_pivots`): each
+    +-1 pivot leaves |det| alone, so the rows they leave must be square
+    over the columns they use, with a +-1 Bareiss determinant; a row they
+    zero, or a column they leave unused, means det 0."""
+    rows = [list(raw_row(v, ZZ)[0]) for v in vectors]
+    if any(len(row) != len(rows) for row in rows):
+        return False
+    rank, left = _unit_pivots(rows, 0)
+    if len(left) != len(rows) - rank or any(len(row) != len(left) for row in left):
+        return False
+    pivots = []
+    d, _ = _bareiss(left, range(len(left)), pivots, jordan=False)
+    return len(pivots) == len(left) and abs(d) == 1
 
 
 def _rank(rows, m: int = 0):

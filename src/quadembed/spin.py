@@ -44,10 +44,11 @@ class GroupElement(_Value):
 
 class SpinContext:
     """The doubled map and lifted involution of one embedding over Z, Q or
-    Z/m (both kept on the embedding) plus cached span solvers, so group
-    membership tests stay cheap.  `is_in_g`, `norm_d` and `is_in_spin` keep
-    the last member or norm they proved, matched by identity, so `chi` and
-    `chi_inverse` do not re-prove what the caller just checked."""
+    Z/m, both kept on the embedding, as are the spans membership tests
+    solve against (`v_span`, `even_span`): the context builds no solver.
+    `is_in_g`, `norm_d` and `is_in_spin` keep the last member or norm they
+    proved, matched by identity, so `chi` and `chi_inverse` do not re-prove
+    what the caller just checked."""
 
     def __init__(self, e: Embedding):
         if not e.scalar_entries:
@@ -63,17 +64,6 @@ class SpinContext:
         self.one_coords = e.v_span.solve(e.identity_matrix())
         if self.one_coords is None or e.bar_coords(self.one_coords) != self.one_coords:
             raise SpinError("the algebra unit must sit bar-fixed inside V")
-        self._phi_solver = SpanSolver(self.phi.images, self.ring)
-        even_images = [
-            img
-            for mask, img in enumerate(self.phi.monomial_images)
-            if bin(mask).count("1") % 2 == 0
-        ]
-        self._even_solver = SpanSolver(even_images, self.ring)
-        self._scalar_solver = SpanSolver([e.identity_matrix()], self.ring)
-        self._zero = e.zero_matrix()
-        one = e.identity_matrix()
-        self._one2 = block2(one, self._zero, self._zero, one)
         self._in_g, self._in_spin, self._norm = None, None, (None, None)
 
     # -- membership ---------------------------------------------------
@@ -81,15 +71,10 @@ class SpinContext:
     def v_coords(self, m: ScalarMatrix):
         return self.embedding.v_span.solve(m)
 
-    def is_scalar(self, m: ScalarMatrix) -> bool:
-        return self._scalar_solver.solve(m) is not None
-
-    def diag(self, p: EvenPair) -> ScalarMatrix:
-        return block2(p.g1, self._zero, self._zero, p.g2)
-
     def in_even_image(self, p: EvenPair) -> bool:
         """Whether diag(g1, g2) lies in the image of the even part."""
-        return self._even_solver.solve(self.diag(p)) is not None
+        zero = self.embedding.zero_matrix()
+        return self.embedding.even_span.solve(block2(p.g1, zero, zero, p.g2)) is not None
 
     def group_element(self, m: ScalarMatrix) -> GroupElement:
         det = m.determinant()
@@ -104,12 +89,10 @@ class SpinContext:
     # -- the norm-one groups -------------------------------------------
 
     def is_in_u0(self, p: EvenPair) -> bool:
-        """diag pair with diag * diag-star = 1; under form 1 this pins g2
-        as the inverse of g1-star, and both facts are checked."""
+        """diag pair x with x x* = diag(g1 g2*, g2 g1*) = 1, under form 1;
+        g1 g2* is the star of g2 g1*, star being a certified order-2
+        anti-automorphism, so g2 g1* = 1 settles both (and g1* g2 = 1)."""
         if not self.in_even_image(p):
-            return False
-        x = self.diag(p)
-        if x * self.lifted(x) != self._one2:
             return False
         one = self.embedding.identity_matrix()
         s1 = self.star(p.g1)
@@ -150,22 +133,22 @@ class SpinContext:
             return True
         if not self.is_in_u0(p):
             return False
-        x = self.diag(p)
-        xinv = self.lifted(x)  # valid inverse inside the norm-one group
-        for img in self.phi.images:
-            conj = x * img * xinv
-            if self._phi_solver.solve(conj) is None:
+        for i in range(self.space.rank):
+            if self.conjugation_coords(p, self.space.basis_vector(i)) is None:
                 return False
         self._in_spin = p
         return True
 
     def conjugation_coords(self, p: EvenPair, v) -> list[Scalar] | None:
-        """V-coordinates of x phi(v) x^{-1} for x = diag(p); phi(v) is the
-        doubled block [[0, rho(v)], [rho(bar v), 0]], as in `build_phi`."""
-        x = self.diag(p)
+        """V-coordinates c of x phi(v) x^{-1} = [[0, g1 . v], [g2 rho(bar v)
+        g2*, 0]] for x = diag(p), or None: c solves g1 . v on `v_span`, and
+        the other block must be rho(bar c).  That is membership in phi(V)
+        whenever V-coordinates are unique, as `norm_d` assumes too."""
         e = self.embedding
-        image = block2(self._zero, e.rho_of(v), e.rho_bar_of(v), self._zero)
-        return self._phi_solver.solve(x * image * self.lifted(x))
+        coords = e.v_span.solve(self.bullet(p.g1, v))
+        if coords is None or p.g2 * e.rho_bar_of(v) * self.star(p.g2) != e.rho_bar_of(coords):
+            return None
+        return coords
 
     def chi(self, p: EvenPair) -> GroupElement:
         """Project a spin pair to its first component."""
@@ -190,6 +173,8 @@ class SpinContext:
             raise ShapeError("off-diagonal indices required")
         t = t if isinstance(t, Scalar) else self.ring(t)
         dim = self.embedding.dim
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ShapeError(f"indices must lie in [0, {dim})")
         unit = ScalarMatrix(dim, dim, [int(k == i * dim + j) for k in range(dim * dim)], self.ring)
         return ScalarMatrix.identity(dim, self.ring) + unit.scale(t)
 
@@ -263,10 +248,10 @@ class SpinContext:
             mv = e.rho_of(v)
             mbar = e.rho_bar_of(v)
             perturbed = mbar + one.scale(r)
-            sum_scalar = self.is_scalar(mv + perturbed)
-            prod_scalar = self.is_scalar(mv * perturbed)
+            sum_scalar = (mv + perturbed).is_scalar()
+            prod_scalar = (mv * perturbed).is_scalar()
             ok = not (sum_scalar and prod_scalar)
-            good_sum = self.is_scalar(mv + mbar)
+            good_sum = (mv + mbar).is_scalar()
             good_prod = mv * mbar == one.scale(self.space.evaluate_q(v))
             if not (ok and good_sum and good_prod):
                 failures.append({"seed": skey, "witness": _coords_json(v)})

@@ -276,12 +276,12 @@ def suslin_embedding(n: int, ring: Ring) -> Embedding:
 
 
 def hyperbolic_clifford_iso(n: int, ring: Ring) -> UniversalMap:
-    """Build the rank-2n hyperbolic embedding and certify bijectivity over
-    Z, Q or Z/m.
-
-    All 4**n monomial images must be independent over the ring (see
-    `build_phi`); since the target matrix algebra is free of rank
-    (2**n)**2 = 4**n, independence is the same as bijectivity.
+    """Build the rank-2n hyperbolic embedding over Z, Q or Z/m and certify
+    its doubled map injective (`build_phi`): all 4**n monomial images are
+    independent over the ring.  The target matrix algebra is free of rank
+    (2**n)**2 = 4**n, so the map is bijective when the images are a basis
+    (`UniversalMap.bijective`); over Z that takes determinant +-1, not
+    independence alone.
     """
     if not 2 <= n <= 5:
         raise ShapeError("rank check supported for n in {2, 3, 4, 5}: n = 5 builds and ranks 1,024"

@@ -244,6 +244,30 @@ def test_extend_universal_identity():
         assert f(a) == a
 
 
+def test_universal_map_certifies_bijectivity_not_only_injectivity():
+    """Over Z, independent monomial images prove det != 0, not a basis.
+    On diag(1, 1), e1 -> diag(1, -1) and e2 -> [[0, 1], [1, 0]] satisfy the
+    relations and give rank 4 with monomial-image determinant 4: bijective
+    over Q and Z/3, injective only over Z.  Fewer images than the target's
+    rank are never bijective."""
+    for ring in (ZZ, QQ, Zmod(3)):
+        e1 = ScalarMatrix.of_ints(ring, [[1, 0], [0, -1]])
+        e2 = ScalarMatrix.of_ints(ring, [[0, 1], [1, 0]])
+        eye = ScalarMatrix.identity(2, ring)
+        phi = extend_universal(diagonal_space([1, 1], ring), [e1, e2], eye)
+        assert phi.injective and phi.monomial_rank == 4
+        assert phi.bijective is (ring is not ZZ), ring.name
+        e12 = ScalarMatrix.of_ints(ring, [[0, 1], [0, 0]])
+        assert extend_universal(hyperbolic(1, ring), [e12, e12.transpose()], eye).bijective
+        short = extend_universal(diagonal_space([1], ring), [e1], eye)
+        assert short.injective and not short.bijective
+    z2 = Zmod(2)
+    flip = ScalarMatrix.of_ints(z2, [[1, 0], [0, -1]])
+    swap = ScalarMatrix.of_ints(z2, [[0, 1], [1, 0]])
+    phi = extend_universal(diagonal_space([1, 1], z2), [flip, swap], ScalarMatrix.identity(2, z2))
+    assert not phi.injective and not phi.bijective
+
+
 def test_extend_universal_rejects_bad_images():
     h = hyperbolic(1, ZZ)
     # e1 squares to 0, so the unit is not a valid image for it

@@ -342,6 +342,32 @@ def test_involutions_conflict_examples():
 def test_standard_involution_restriction():
     assert standard_involution_restriction(suslin_embedding(2, ZZ)) is True
     assert standard_involution_restriction(suslin_embedding(3, ZZ)) is True
+    for ring in (QQ, Zmod(6)):
+        assert standard_involution_restriction(suslin_embedding(2, ring)) is True
+        assert standard_involution_restriction(suslin_embedding(3, ring)) is True
+    # inside Cl(H) itself, diag(e1, e1) is not in the doubled image
+    for ring in (ZZ, QQ, Zmod(6)):
+        assert standard_involution_restriction(clifford_self_embedding(hyperbolic(1, ring))) is None
+
+
+def test_standard_involution_restriction_solves_on_the_even_span(monkeypatch):
+    """Two calls on one embedding build one solver between them, the
+    embedding's `even_span`, not one over all 2^rank monomial images."""
+    import quadembed.scalars as scalars
+
+    built = []
+    real_init = scalars.SpanSolver.__init__
+
+    def counting_init(self, columns, ring):
+        built.append(len(columns))
+        real_init(self, columns, ring)
+
+    e = suslin_embedding(2, ZZ)
+    build_phi(e)
+    monkeypatch.setattr(scalars.SpanSolver, "__init__", counting_init)
+    for _ in range(2):
+        assert standard_involution_restriction(e) is True
+    assert built == [8] and e.even_span.rank == 8
 
 
 def test_modular_ring_embedding():

@@ -19,6 +19,7 @@ from quadembed.scalars import (
     SpanSolver,
     ZZ,
     Zmod,
+    is_unimodular,
     parse_scalar,
     rank_in_ring,
     rank_over_fractions,
@@ -389,6 +390,56 @@ def test_determinant_matches_cofactor_oracle():
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         m = ScalarMatrix.of_ints(ZZ, rows)
         assert m.determinant() == ZZ(cofactor_det(rows))
+
+
+def test_is_unimodular_matches_the_cofactor_determinant():
+    """Unit pivots then Bareiss against |det| = 1 by cofactors, on square
+    matrices rich in +-1 (zero rows, all-even input with no unit pivot,
+    dense input) and on non-square shapes, which are never unimodular."""
+    rng = random.Random(29)
+    for trial in range(400):
+        n = rng.randint(1, 5)
+        pool = [2, -2, 4] if trial % 7 == 0 else [1, -1, 1, -1, 2, -3]
+        density = rng.choice((0.25, 0.5, 1.0))
+        rows = [[rng.choice(pool) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        if trial % 11 == 0:
+            rows[rng.randrange(n)] = [0] * n
+        want = abs(cofactor_det(rows)) == 1
+        assert is_unimodular([ints(ZZ, row) for row in rows]) is want, rows
+        assert is_unimodular([ScalarMatrix.of_ints(ZZ, [row]) for row in rows]) is want, rows
+    assert is_unimodular([ints(ZZ, [1, 0])]) is False
+    assert is_unimodular([ints(ZZ, [1]), ints(ZZ, [1])]) is False
+    assert is_unimodular([ints(ZZ, [1, 1]), ints(ZZ, [1, -1])]) is False  # det -2
+
+
+def test_is_scalar_matches_a_solve_against_the_identity():
+    """`ScalarMatrix.is_scalar` against SpanSolver([I]): Q entries over
+    different denominators, Z/6 residues that wrap to equal values, and
+    sampled matrices near and far from scalar."""
+    rng = random.Random(31)
+    cases = [
+        (QQ, [[Fraction(1, 2), 0], [0, Fraction(2, 4)]]),
+        (QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
+        (Zmod(6), [[1, 6], [-12, 7]]),
+        (Zmod(6), [[1, 3], [0, 1]]),
+        (Zmod(6), [[0, 0], [0, 6]]),
+        (ZZ, [[5]]),
+        (ZZ, [[2, 0, 0], [0, 2, 0], [0, 0, -2]]),
+    ]
+    for _ in range(200):
+        ring = rng.choice((ZZ, QQ, Zmod(6)))
+        n = rng.randint(1, 4)
+        c = rng.choice([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))] if ring is QQ else [rng.randint(-7, 7)])
+        rows = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+        if rng.random() < 0.6:
+            rows[rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1, 6, Fraction(1, 2)) if ring is QQ else (1, -1, 6))
+        cases.append((ring, rows))
+    for ring, rows in cases:
+        m = ScalarMatrix.from_rows([[ring(x) for x in row] for row in rows])
+        want = SpanSolver([ScalarMatrix.identity(m.rows, ring)], ring).solve(m) is not None
+        assert m.is_scalar() is want, (ring.name, rows)
+    with pytest.raises(ShapeError):
+        ScalarMatrix.of_ints(ZZ, [[1, 0]]).is_scalar()
 
 
 def test_determinant_modular_matches_oracle():

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import quadembed.scalars as scalars
+from quadembed.algmat import block2
+from quadembed.embedding import build_phi, lift_involution
 from quadembed.qspace import random_vector
-from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod
+from quadembed.scalars import QQ, ScalarMatrix, ShapeError, SpanSolver, ZZ, Zmod
 from quadembed.spin import EvenPair, SpinContext, SpinError
 from quadembed.suslin import suslin_embedding
 
@@ -249,7 +252,7 @@ def test_unit_vector_case_of_translation_identity():
     for _ in range(50):
         v1 = random_vector(rng, ctx.space)
         target = e.rho_bar_of(v1) + m2 * e.rho_of(v1) * m2
-        assert ctx.is_scalar(target)
+        assert target.is_scalar()
 
 
 def test_lemma_report_json_shape():
@@ -300,3 +303,89 @@ def test_chi_and_chi_inverse_do_not_re_prove_the_value_just_checked(monkeypatch)
     assert ctx.is_in_spin(pair)
     monkeypatch.setattr(ctx, "is_in_u0", refuse)
     assert ctx.chi(pair).matrix == g
+
+
+def test_elementary_rejects_indices_outside_the_matrix():
+    ctx = ctx_z()  # dim 4
+    assert ctx.elementary(3, 0, 5) == ScalarMatrix.identity(4, ZZ) + int_mat(
+        ZZ, [[0] * 4, [0] * 4, [0] * 4, [5, 0, 0, 0]]
+    )
+    for i, j in ((0, 4), (4, 0), (-1, 2), (2, -1), (4, 5)):
+        with pytest.raises(ShapeError):
+            ctx.elementary(i, j, 5)
+
+
+def test_membership_matches_the_doubled_matrix_definitions():
+    """`in_even_image`, `is_in_u0`, `is_in_spin` and `conjugation_coords`
+    work on the d x d blocks; here each is rebuilt on the doubled matrices
+    x = diag(g1, g2): a solve against the even monomial images, x x* = 1,
+    x phi(e_i) x* inside phi(V), and the phi(V) coordinates of
+    x phi(v) x*.  Members are chi_inverse of elementary products;
+    non-members are (g, g) and pairs with one side scaled."""
+    for ring in (ZZ, QQ, Zmod(6)):
+        ctx = SpinContext(suslin_embedding(3, ring))
+        e = ctx.embedding
+        zero, one = e.zero_matrix(), e.identity_matrix()
+        one2 = block2(one, zero, zero, one)
+        phi_span = SpanSolver(ctx.phi.images, ring)
+        even_span = SpanSolver(
+            [img for mask, img in enumerate(ctx.phi.monomial_images) if bin(mask).count("1") % 2 == 0],
+            ring,
+        )
+
+        def doubled(p):
+            x = block2(p.g1, zero, zero, p.g2)
+            xs = ctx.lifted(x)
+            in_even = even_span.solve(x) is not None
+            in_u0 = in_even and x * xs == one2
+            in_spin = in_u0 and all(phi_span.solve(x * img * xs) is not None for img in ctx.phi.images)
+            return x, xs, in_even, in_u0, in_spin
+
+        rng = random.Random(11)
+        pairs = []
+        for _ in range(6):
+            g = ctx.sample_elementary_product(rng)
+            member = ctx.chi_inverse(g)
+            pairs += [member, EvenPair(g, g), EvenPair(g.scale(ring(2)), member.g2)]
+            if ring is QQ:
+                pairs.append(EvenPair(g.scale(QQ(3)), member.g2.scale(QQ(Fraction(1, 3)))))
+        verdicts = set()
+        for p in pairs:
+            x, xs, in_even, in_u0, in_spin = doubled(p)
+            assert ctx.in_even_image(p) is in_even
+            assert ctx.is_in_u0(p) is in_u0
+            assert ctx.is_in_spin(p) is in_spin
+            verdicts.add((in_u0, in_spin))
+            for _ in range(3):
+                v = random_vector(rng, ctx.space)
+                image = block2(zero, e.rho_of(v), e.rho_bar_of(v), zero)
+                assert ctx.conjugation_coords(p, v) == phi_span.solve(x * image * xs)
+        assert {(True, True), (False, False)} <= verdicts, ring.name
+        if ring is QQ:
+            assert (True, False) in verdicts
+
+
+def test_spin_context_builds_no_solver(monkeypatch):
+    """On a certified bed the context builds no span solver: membership
+    solves on the embedding's `v_span` and, for the even image, on its
+    `even_span`, built once for the embedding and not per context."""
+    built = []
+    real_init = scalars.SpanSolver.__init__
+
+    def counting_init(self, columns, ring):
+        built.append(len(columns))
+        real_init(self, columns, ring)
+
+    for ring in (ZZ, Zmod(6)):
+        e = suslin_embedding(3, ring)
+        build_phi(e), lift_involution(e), e.v_span
+        monkeypatch.setattr(scalars.SpanSolver, "__init__", counting_init)
+        ctx = SpinContext(e)
+        assert built == []
+        pair = ctx.chi_inverse(ctx.elementary(0, 2, 1))
+        assert ctx.is_in_spin(pair) and ctx.conjugation_coords(pair, [1, 0, 0, 0, 0, 0]) is not None
+        assert built == [32]  # the even span, on the embedding
+        again = SpinContext(e)
+        assert again.is_in_spin(EvenPair(pair.g1, pair.g2)) and built == [32]
+        monkeypatch.undo()
+        built.clear()

@@ -311,6 +311,14 @@ def test_iso_is_unimodular_over_z():
         assert len(rows) == size
 
 
+def test_iso_is_bijective_over_every_ring():
+    # the certificate behind `iso`'s "isomorphism" field: over Z the
+    # monomial images must have determinant +-1, which unit pivots prove
+    for n in (2, 3, 4):
+        for ring in (ZZ, QQ, Zmod(6)):
+            assert hyperbolic_clifford_iso(n, ring).bijective, (n, ring.name)
+
+
 def test_iso_states_its_cap_and_cost():
     with pytest.raises(ShapeError, match=r"\{2, 3, 4, 5\}.*about 0\.5 s.*4,096"):
         hyperbolic_clifford_iso(6, QQ)
@@ -318,7 +326,7 @@ def test_iso_states_its_cap_and_cost():
 
 def test_iso_certifies_rank_1024_at_n_5():
     phi = hyperbolic_clifford_iso(5, ZZ)
-    assert phi.monomial_rank == 1024 and phi.injective
+    assert phi.monomial_rank == 1024 and phi.injective and phi.bijective
 
 
 def test_suslin_rank_certificates_never_reach_the_dense_residual(monkeypatch):
