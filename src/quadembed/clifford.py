@@ -81,10 +81,18 @@ class CliffordElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def ring(self):
+        return self.space.ring
+
     def coefficients(self) -> list[Scalar]:
         """Dense coordinate vector over the monomial basis, mask order."""
         zero = self.space.ring.zero
         return [self.terms.get(m, zero) for m in range(1 << self.space.rank)]
+
+    def raw_values(self) -> list:
+        """The values of `coefficients()`; an absent mask is a plain 0."""
+        return [self.terms[m].value if m in self.terms else 0 for m in range(1 << self.space.rank)]
 
     def to_json(self):
         return {

@@ -12,17 +12,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Callable, Optional
 
-from .algmat import (
-    AlgMatrix,
-    CliffordCoeffs,
-    algebra_basis,
-    block2,
-    lift_scalar_matrix,
-    span_coords,
-)
+from .algmat import AlgMatrix, CliffordCoeffs, algebra_basis, block2, lift_scalar_matrix
 from .clifford import CliffordElement, UniversalMap, monomial, standard_involution
 from .qspace import QuadraticSpace
-from .scalars import RingError, Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value
+from .scalars import RingError, Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value, rank_in_ring
 
 
 class EmbeddingError(ValueError):
@@ -232,13 +225,9 @@ def validate_embedding(e: Embedding) -> ValidationReport:
             if g.entry(i, j) + g.entry(j, i) != space.bilinear_generators(i, j):
                 failures.append(f"bar map does not preserve <e{i+1},e{j+1}>")
 
-    for i in range(n):
-        if rho[i].is_zero():
-            failures.append(f"rho(e{i+1}) is zero")
-            continue
-        others = [rho[j] for j in range(n) if j != i]
-        if others and span_coords(others, rho[i]) is not None:
-            failures.append(f"rho(e{i+1}) depends on the other basis images")
+    # McCoy rank n is independence over the ring, which also rules out a zero image
+    if rank_in_ring(rho, e.ring) < n:
+        failures.append("the basis images are dependent over the ring")
 
     e._report = ValidationReport(not failures, failures)
     return e._report

@@ -700,7 +700,7 @@ def rank_over_fractions(a) -> int:
     for v in [a] if matrix else a:
         if isinstance(v.ring if hasattr(v, "ring") else v[0].ring, ModularRing):
             raise RingError("rank over fractions is not defined for modular rings")
-    return _rank(a._elimination_rows()[0] if matrix else [list(raw_row(v, QQ)[0]) for v in a])
+    return _rank(a._elimination_rows()[0] if matrix else _raw_rows(a, QQ))
 
 
 def rank_in_ring(vectors, ring: Ring) -> int:
@@ -713,8 +713,16 @@ def rank_in_ring(vectors, ring: Ring) -> int:
     if not isinstance(ring, ModularRing):
         return rank_over_fractions(vectors)
     matrix = isinstance(vectors, ScalarMatrix)
-    rows = vectors._elimination_rows()[0] if matrix else [raw_row(v, ring)[0] for v in vectors]
+    rows = vectors._elimination_rows()[0] if matrix else _raw_rows(vectors, ring)
     return _rank(rows, ring.modulus)
+
+
+def _raw_rows(vectors, ring: Ring) -> list[list[int]]:
+    """The rows `raw_row` reads from `vectors`, which must share one length."""
+    rows = [list(raw_row(v, ring)[0]) for v in vectors]
+    if len(set(map(len, rows))) > 1:
+        raise ShapeError("vectors must have equal length")
+    return rows
 
 
 def is_unimodular(vectors) -> bool:
@@ -812,6 +820,8 @@ class SpanSolver:
         cols = [raw_row(col, ring) for col in columns]
         if not cols:
             raise ShapeError("need at least one spanning vector")
+        if len({len(col) for col, _ in cols}) > 1:
+            raise ShapeError("spanning vectors must have equal length")
         self.ring = ring
         self.n = n = len(cols[0][0])
         self.k = len(cols)

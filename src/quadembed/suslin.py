@@ -136,7 +136,7 @@ def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
 
 
 class DerivationError(RuntimeError):
-    """Orbit propagation found no signed permutation satisfying the identity."""
+    """The closed-form J failed its certificate on the unit pairs."""
 
 
 class JMatrix(_Value):
@@ -190,57 +190,28 @@ def _unit_pairs(n: int, ring: Ring) -> list[SuslinPair]:
     return [SuslinPair(u[:n], u[n:]) for u in units]
 
 
-def _propagate(maps, size: int, start):
-    """J's rows as (column, sign) grown from row 0's `start`, or None if they
-    clash or miss a row or column.  With T[i][r] = t and S[c][col_i] = s, row i
-    of J S^T = T J reads sign_i s e_c = t J_r, so J_r = (c, sign_i s t)."""
-    rows, orbit = [start] + [None] * (size - 1), [0]
-    for i in orbit:
-        col, sign = rows[i]
-        for t_rows, s_cols in maps:
-            named, hit = t_rows.get(i), s_cols.get(col)
-            if named is None or hit is None:
-                if named is not hit:
-                    return None
-                continue
-            (r, t), (c, s) = named, hit
-            if rows[r] is None:
-                orbit.append(r)
-            elif rows[r] != (c, sign * s * t):
-                return None
-            rows[r] = (c, sign * s * t)
-    return rows if len(orbit) == size == len({c for c, _ in rows}) else None
-
-
 def derive_j(n: int) -> JMatrix:
     """The signed permutation J of size 2**(n-1), 1 <= n <= MAX_COORDINATES,
-    with J S^T J^T = S for odd n and Sbar for even n, by orbit propagation.
+    with J S^T J^T = S for odd n and Sbar for even n, in closed form:
+    J[i][i ^ m] = (-1)**popcount(i), where m sets the even bits below 2*(n//2).
 
-    The identity is linear in the pair, so the 2n unit pairs settle it; a
-    unit-pair matrix has at most one non-zero entry per row and column, so
-    J's row 0 fixes its orbit (Seress, Permutation Group Algorithms, 2003,
-    ch. 2).  The least J that closes, permutation first and + before -, is
-    checked with matrix products; `candidates_tried` is its 1-based rank.
+    By induction on the doubling S = [[a I, S'], [-Sbar', b I]] (Suslin 1977):
+    J_1 = [1], and with J' = J_(n-1), J_n = diag(J', -J') for odd n and
+    [[0, J'], [-J', 0]] for even n.  The identity is linear in the pair, so
+    matrix products on the 2n unit pairs certify J; `candidates_tried` is
+    J's 1-based rank among signed permutations, permutation first and + before -.
     """
     if not 1 <= n <= MAX_COORDINATES:
         raise ShapeError(f"J is derived for n from 1 to {MAX_COORDINATES}")
     size = 1 << (n - 1)
     bar_case = n % 2 == 0
-    pairs = [(suslin(p), (suslin_bar if bar_case else suslin)(p)) for p in _unit_pairs(n, ZZ)]
-    maps = [
-        ({k // size: (k % size, x) for k, x in enumerate(t.values) if x},
-         {k % size: (k // size, x) for k, x in enumerate(s.values) if x})
-        for s, t in pairs
-    ]
-    # row 0 fixes the rest and its sign flips them all: the first to close is least
-    starts = ((c, sign) for c in range(size) for sign in (1, -1))
-    rows = next(filter(None, (_propagate(maps, size, x) for x in starts)), None)
-    if rows is None:
-        raise DerivationError(f"no signed permutation of size {size} satisfies the identity")
-    j = ScalarMatrix(size, size, [sign * (c == k) for c, sign in rows for k in range(size)], ZZ)
-    if any(j * s.transpose() * j.transpose() != t for s, t in pairs):
-        raise DerivationError(f"the propagated J of size {size} fails the identity")
-    perm, signs = zip(*rows)
+    mask = (4 ** (n // 2) - 1) // 3
+    perm = [i ^ mask for i in range(size)]
+    signs = [(-1) ** bin(i).count("1") for i in range(size)]
+    j = ScalarMatrix(size, size, [sign * (c == k) for c, sign in zip(perm, signs) for k in range(size)], ZZ)
+    target = suslin_bar if bar_case else suslin
+    if any(j * suslin(p).transpose() * j.transpose() != target(p) for p in _unit_pairs(n, ZZ)):
+        raise DerivationError(f"the closed-form J of size {size} fails the identity")
     rank = 0  # the Lehmer index of perm, by Horner's rule in the factorial base
     for i, c in enumerate(perm):
         rank = rank * (size - i) + sum(q < c for q in perm[i + 1 :])

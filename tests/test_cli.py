@@ -434,6 +434,16 @@ def test_cli_output_digests_are_pinned(capsys):
          "e8ab3c9a46f848f69ee219335c2bc06f4ebe50f1dc8c0be3b8b89a350b81c689"),
         (("derive-j", "--n", "3"),
          "325ad1c4361a27395c1600980535b0ba65adcc4c9d3e015859d7d290e9b8a8ea"),
+        (("derive-j", "--n", "4"),
+         "2d4f035d62d3caec85a9837edb7cc2f987aa244410d34c139cd2a86506eebdf4"),
+        (("derive-j", "--n", "5"),
+         "4c1adda820f6a2d08bc0c5a833d544f544790d83289773faa4c162dbf3bc9c8a"),
+        (("derive-j", "--n", "6"),
+         "aae30a3ea6de2b34651a694b51054febda5685b9c2b90d8af364433e25f3e215"),
+        (("derive-j", "--n", "7"),
+         "b2825c141b934e7f7097d75d1825eac7ebaca242ccaedd49b0f573d688ed1b54"),
+        (("derive-j", "--n", "8"),
+         "47fb73d0d4d06a106b2b87fcdc27dbad4f7279148cb590c33deb0fcf7774ac12"),
         (("iso", "--n", "2"),
          "7e6278e997858258575cccbaa5a410b7934b0f85640e15fb2914a3f50f040dd7"),
         (("clifford", "mul", "--space", "hyp:1", "--a", "2:1", "--b", "1:1"),

@@ -268,6 +268,18 @@ def test_universal_map_certifies_bijectivity_not_only_injectivity():
     assert not phi.injective and not phi.bijective
 
 
+def test_universal_map_certifies_clifford_element_images():
+    """The identity map of Cl(H) is read through `CliffordElement.raw_values`:
+    its 4 monomial images are the monomials, a basis over every ring."""
+    for ring in (ZZ, QQ, Zmod(5)):
+        h = hyperbolic(1, ring)
+        phi = extend_universal(h, [monomial(h, 1), monomial(h, 2)], cl_one(h))
+        assert phi.monomial_rank == 4, ring.name
+        assert phi.injective and phi.bijective, ring.name
+        a = CliffordElement(h, {0: ring(2), 3: ring(-1)})
+        assert a.ring is ring and a.raw_values() == [s.value for s in a.coefficients()]
+
+
 def test_extend_universal_rejects_bad_images():
     h = hyperbolic(1, ZZ)
     # e1 squares to 0, so the unit is not a valid image for it

@@ -66,6 +66,24 @@ def test_validate_rejects_zero_alpha():
     assert report.failures
 
 
+def test_validate_rejects_dependent_basis_images():
+    """Each image outside the span of the others is weaker than independence
+    over Z and Z/m.  On q = 4x^2 + 12xy + 9y^2 over Z, rho = ([2], [3]) meets
+    every identity, yet 3 rho(e1) = 2 rho(e2); on q = 0 over Z/4, rho = ([2])
+    meets them too, yet 2 rho(e1) = 0."""
+    q = QuadraticSpace(ScalarMatrix.of_ints(ZZ, [[4, 12], [0, 9]]))
+    rho = [ScalarMatrix.of_ints(ZZ, [[2]]), ScalarMatrix.of_ints(ZZ, [[3]])]
+    z4 = Zmod(4)
+    zero = QuadraticSpace(ScalarMatrix.of_ints(z4, [[0]]))
+    for e in (
+        Embedding(q, ZZ, 1, rho, ScalarMatrix.identity(2, ZZ)),
+        Embedding(zero, z4, 1, [ScalarMatrix.of_ints(z4, [[2]])], ScalarMatrix.identity(1, z4)),
+    ):
+        report = validate_embedding(e)
+        assert report.failures == ["the basis images are dependent over the ring"]
+        assert not report.passed
+
+
 def test_build_phi_generator_squares():
     e = suslin_embedding(2, ZZ)
     phi = build_phi(e)

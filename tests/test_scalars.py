@@ -228,6 +228,21 @@ def test_rank_over_fractions_refuses_modular_vectors():
         rank_over_fractions([ints(z6, [2, 3]), ints(z6, [4, 0])])
 
 
+def test_vectors_of_unequal_length_are_refused():
+    # a length read off the first vector solves [0, 1] as [5, 0] over Z/6,
+    # which does not substitute back, and truncates or overruns over Z and Q
+    for ring in (ZZ, QQ, Zmod(6)):
+        short, long = ints(ring, [1, 0]), ints(ring, [0, 1, 5])
+        for vectors in ([short, long], [long, short]):
+            with pytest.raises(ShapeError, match="equal length"):
+                SpanSolver(vectors, ring)
+            with pytest.raises(ShapeError, match="equal length"):
+                rank_in_ring(vectors, ring)
+            if ring in (ZZ, QQ):
+                with pytest.raises(ShapeError, match="equal length"):
+                    rank_over_fractions(vectors)
+
+
 def test_unit_pivots_first_matches_the_rank_oracles():
     """The unit-pivot rank against plain row reduction on sparse, +-1-rich
     matrices over Z, Q (rows over their own denominators) and Z/m: 1 x k

@@ -15,6 +15,7 @@ from quadembed.embedding import build_phi, lift_involution
 from quadembed.scalars import QQ, RingError, ScalarMatrix, ShapeError, ZZ, Zmod, rank_over_fractions
 from quadembed.suslin import (
     MAX_COORDINATES,
+    DerivationError,
     SuslinPair,
     bar_pair,
     catalog_generators,
@@ -159,7 +160,7 @@ def test_derive_j_out_of_range():
 
 def test_derive_j_enumerates_no_permutations(monkeypatch):
     # the J and the counts the lexicographic search over signed
-    # permutations found, which propagation must reproduce without it
+    # permutations found, which the closed form must reproduce without it
     def refuse(*args):
         raise AssertionError("derive_j enumerated permutations")
 
@@ -198,6 +199,30 @@ def test_derive_j_counts_its_lexicographic_rank():
     index = next(k for k, q in enumerate(itertools.permutations(range(8))) if q == perm)
     bits = int("".join("1" if sign < 0 else "0" for _, sign in rows), 2)
     assert j.candidates_tried == index * 2**8 + bits + 1 == 7368554
+
+
+def test_derive_j_doubles_by_the_induction():
+    # with J' = J_(n-1): diag(J', -J') for odd n, [[0, J'], [-J', 0]] for even n
+    for n in range(2, MAX_COORDINATES + 1):
+        prev, j = derive_j(n - 1), derive_j(n)
+        h = prev.size
+        rows = [list(prev.matrix.values[i * h : (i + 1) * h]) for i in range(h)]
+        neg, zero = [[-x for x in row] for row in rows], [0] * h
+        if n % 2:
+            want = [row + zero for row in rows] + [zero + row for row in neg]
+        else:
+            want = [zero + row for row in rows] + [row + zero for row in neg]
+        assert j.matrix == ScalarMatrix.of_ints(ZZ, want), n
+
+
+def test_derive_j_certifies_the_closed_form(monkeypatch):
+    # the closed-form J_2 sends S^T to Sbar; with Sbar replaced by S the
+    # unit-pair products must refuse it
+    import quadembed.suslin as module
+
+    monkeypatch.setattr(module, "suslin_bar", lambda p: module.suslin(p))
+    with pytest.raises(DerivationError, match="fails the identity"):
+        derive_j(2)
 
 
 def test_suslin_pair_size_is_bounded():
