@@ -682,9 +682,6 @@ def solve_in_ring(a: ScalarMatrix, b) -> list[Scalar] | None:
     b = list(b)
     if len(b) != a.rows:
         raise ShapeError("right-hand side length does not match row count")
-    for e in b:
-        if e.ring is not a.ring:
-            raise RingError("right-hand side must live in the matrix ring")
     columns = [ScalarMatrix(a.rows, 1, a.values[j :: a.cols], a.ring, a.den) for j in range(a.cols)]
     return SpanSolver(columns, a.ring).solve(b)
 
@@ -710,11 +707,23 @@ def rank_in_ring(vectors, ring: Ring) -> int:
     over Q; over Z/m the least rank mod a prime p | m, without factoring m.
     Either is the number of unit pivots taken first plus the rank of the
     rows they leave (`_rank`)."""
+    matrix = isinstance(vectors, ScalarMatrix)
+    for v in [vectors] if matrix else vectors:
+        _in_ring(v, ring)
     if not isinstance(ring, ModularRing):
         return rank_over_fractions(vectors)
-    matrix = isinstance(vectors, ScalarMatrix)
     rows = vectors._elimination_rows()[0] if matrix else _raw_rows(vectors, ring)
     return _rank(rows, ring.modulus)
+
+
+def _in_ring(x, ring: Ring):
+    """`x`, refused with RingError unless it is a vector over `ring`: where
+    vectors enter a solver or a rank, one identity check for a vector that
+    carries its ring (a matrix or a Clifford element), one per entry for a
+    sequence of Scalars."""
+    if x.ring is not ring if hasattr(x, "ring") else any(s.ring is not ring for s in x):
+        raise RingError(f"vector is not over {ring.name}")
+    return x
 
 
 def _raw_rows(vectors, ring: Ring) -> list[list[int]]:
@@ -817,7 +826,7 @@ class SpanSolver:
     `raw_row` reads: Scalars, or a matrix in row-major order."""
 
     def __init__(self, columns, ring: Ring):
-        cols = [raw_row(col, ring) for col in columns]
+        cols = [raw_row(_in_ring(col, ring), ring) for col in columns]
         if not cols:
             raise ShapeError("need at least one spanning vector")
         if len({len(col) for col, _ in cols}) > 1:
@@ -850,7 +859,7 @@ class SpanSolver:
         return [sum(map(mul, map(row.__getitem__, nz), vs)) for row in self._rows]
 
     def solve(self, target) -> list[Scalar] | None:
-        b, den = raw_row(target, self.ring)
+        b, den = raw_row(_in_ring(target, self.ring), self.ring)
         if len(b) != self.n:
             raise ShapeError("vector length does not match span vectors")
         ring, r = self.ring, self.rank

@@ -9,11 +9,16 @@ embedding is the worked test bed.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 from .algmat import block2
 from .embedding import Embedding, build_phi, lift_involution
-from .qspace import random_vector
+from .qspace import hyperbolic, random_vector
 from .scalars import Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value, rank_in_ring
+
+
+# Lemma 4.1's draws of a vector independent of the unit before it gives up.
+_INDEPENDENT_DRAWS = 100
 
 
 class SpinError(ValueError):
@@ -65,6 +70,11 @@ class SpinContext:
         if self.one_coords is None or e.bar_coords(self.one_coords) != self.one_coords:
             raise SpinError("the algebra unit must sit bar-fixed inside V")
         self._in_g, self._in_spin, self._norm = None, None, (None, None)
+
+    @cached_property
+    def _hyperbolic(self) -> bool:
+        rank = self.space.rank
+        return rank % 2 == 0 and self.space == hyperbolic(rank // 2, self.ring)
 
     # -- membership ---------------------------------------------------
 
@@ -200,7 +210,10 @@ class SpinContext:
 
     def random_norm_one_vector(self, rng: random.Random) -> list[Scalar]:
         """A vector with q = 1: either a coordinate permutation of the unit
-        of V, or a sampled pair with a unimodular slot."""
+        of V, or a sampled pair with a unimodular slot.  Both read q as the
+        form of `hyperbolic(rank / 2)`, which the context must have."""
+        if not self._hyperbolic:
+            raise SpinError("norm-one vectors are drawn only on the hyperbolic form")
         n = self.space.rank // 2
         if rng.random() < 0.25:
             k = rng.randrange(n)
@@ -219,93 +232,76 @@ class SpinContext:
     # -- seeded verifier for the four structural facts -------------------
 
     def lemma_checks(self, seed: int, samples: int) -> list["LemmaReport"]:
-        reports = [
-            self._check_bar_characterisation(seed, samples),
-            self._check_norm_one_translation(seed, samples),
-            self._check_star_norm_symmetry(seed, samples),
-            self._check_norm_product_rule(seed, samples),
-        ]
+        """Lemmas 4.1-4.4 on `samples` draws each.  Draw i of lemma L has its
+        own RNG, seeded "seed:L:i"; a draw that fails is recorded as that
+        seed and the witness its lemma returns."""
+        reports = []
+        for lemma, check in (
+            ("4.1", self._bar_characterisation),
+            ("4.2", self._norm_one_translation),
+            ("4.3", self._star_norm_symmetry),
+            ("4.4", self._norm_product_rule),
+        ):
+            failures = []
+            for i in range(samples):
+                skey = f"{seed}:{lemma}:{i}"
+                witness = check(random.Random(skey))
+                if witness is not None:
+                    failures.append({"seed": skey, "witness": witness})
+            reports.append(LemmaReport(lemma, samples, failures))
         return reports
 
-    def _sample_seed(self, seed: int, label: str, i: int) -> str:
-        return f"{seed}:{label}:{i}"
-
-    def _check_bar_characterisation(self, seed: int, samples: int) -> "LemmaReport":
+    def _bar_characterisation(self, rng: random.Random):
         """Perturbing the bar image breaks scalarity; the bar image itself
-        is the unique completion making sum and product scalar."""
-        failures = []
+        is the unique completion making sum and product scalar.  v is drawn
+        independent of the unit, which needs rank >= 2, in at most
+        `_INDEPENDENT_DRAWS` tries."""
+        if self.space.rank < 2:
+            raise SpinError("lemma 4.1 needs a space of rank at least 2")
+        for _ in range(_INDEPENDENT_DRAWS):
+            v = random_vector(rng, self.space)
+            if rank_in_ring([self.one_coords, v], self.ring) == 2:
+                break
+        else:
+            raise SpinError(f"no vector independent of the unit in {_INDEPENDENT_DRAWS} draws")
         e = self.embedding
         one = e.identity_matrix()
-        for i in range(samples):
-            skey = self._sample_seed(seed, "4.1", i)
-            rng = random.Random(skey)
-            while True:
-                v = random_vector(rng, self.space)
-                if rank_in_ring([self.one_coords, v], self.ring) == 2:
-                    break
-            # r must be non-zero in the ring, or the perturbation is none
-            r = self.ring(rng.choice([x for x in range(-4, 5) if not self.ring(x).is_zero]))
-            mv = e.rho_of(v)
-            mbar = e.rho_bar_of(v)
-            perturbed = mbar + one.scale(r)
-            sum_scalar = (mv + perturbed).is_scalar()
-            prod_scalar = (mv * perturbed).is_scalar()
-            ok = not (sum_scalar and prod_scalar)
-            good_sum = (mv + mbar).is_scalar()
-            good_prod = mv * mbar == one.scale(self.space.evaluate_q(v))
-            if not (ok and good_sum and good_prod):
-                failures.append({"seed": skey, "witness": _coords_json(v)})
-        return LemmaReport("4.1", samples, failures)
+        # r must be non-zero in the ring, or the perturbation is none
+        r = self.ring(rng.choice([x for x in range(-4, 5) if not self.ring(x).is_zero]))
+        mv = e.rho_of(v)
+        mbar = e.rho_bar_of(v)
+        perturbed = mbar + one.scale(r)
+        ok = not ((mv + perturbed).is_scalar() and (mv * perturbed).is_scalar())
+        if not (ok and (mv + mbar).is_scalar() and mv * mbar == one.scale(self.space.evaluate_q(v))):
+            return _coords_json(v)
 
-    def _check_norm_one_translation(self, seed: int, samples: int) -> "LemmaReport":
+    def _norm_one_translation(self, rng: random.Random):
         """bar(v1) + v2 v1 v2 is a multiple of v2 whenever q(v2) = 1."""
-        failures = []
         e = self.embedding
-        for i in range(samples):
-            skey = self._sample_seed(seed, "4.2", i)
-            rng = random.Random(skey)
-            v1 = random_vector(rng, self.space)
-            v2 = self.random_norm_one_vector(rng)
-            m2 = e.rho_of(v2)
-            target = e.rho_bar_of(v1) + m2 * e.rho_of(v1) * m2
-            line = SpanSolver([m2], self.ring)
-            if line.solve(target) is None:
-                failures.append(
-                    {"seed": skey, "witness": [_coords_json(v1), _coords_json(v2)]}
-                )
-        return LemmaReport("4.2", samples, failures)
+        v1 = random_vector(rng, self.space)
+        v2 = self.random_norm_one_vector(rng)
+        m2 = e.rho_of(v2)
+        target = e.rho_bar_of(v1) + m2 * e.rho_of(v1) * m2
+        if SpanSolver([m2], self.ring).solve(target) is None:
+            return [_coords_json(v1), _coords_json(v2)]
 
-    def _check_star_norm_symmetry(self, seed: int, samples: int) -> "LemmaReport":
+    def _star_norm_symmetry(self, rng: random.Random):
         """q(g g*) = 1 forces q(g* g) = 1."""
-        failures = []
-        for i in range(samples):
-            skey = self._sample_seed(seed, "4.3", i)
-            rng = random.Random(skey)
-            g = self.sample_group_element(rng)
-            if self.norm_d(g) != self.ring.one:
-                continue
-            gs = self.star(g)
-            coords = self.v_coords(gs * g)
-            if coords is None or self.space.evaluate_q(coords) != self.ring.one:
-                failures.append({"seed": skey, "witness": g.to_json()})
-        return LemmaReport("4.3", samples, failures)
+        g = self.sample_group_element(rng)
+        if self.norm_d(g) != self.ring.one:
+            return None
+        coords = self.v_coords(self.star(g) * g)
+        if coords is None or self.space.evaluate_q(coords) != self.ring.one:
+            return g.to_json()
 
-    def _check_norm_product_rule(self, seed: int, samples: int) -> "LemmaReport":
+    def _norm_product_rule(self, rng: random.Random):
         """q(g . v) = q(g g*) q(v), including non-norm-one g."""
-        failures = []
-        for i in range(samples):
-            skey = self._sample_seed(seed, "4.4", i)
-            rng = random.Random(skey)
-            g = self.sample_group_element(rng, allow_scaling=True)
-            v = random_vector(rng, self.space)
-            d = self.norm_d(g)
-            coords = self.v_coords(self.bullet(g, v))
-            if coords is None:
-                failures.append({"seed": skey, "witness": _coords_json(v)})
-                continue
-            if self.space.evaluate_q(coords) != d * self.space.evaluate_q(v):
-                failures.append({"seed": skey, "witness": _coords_json(v)})
-        return LemmaReport("4.4", samples, failures)
+        g = self.sample_group_element(rng, allow_scaling=True)
+        v = random_vector(rng, self.space)
+        d = self.norm_d(g)
+        coords = self.v_coords(self.bullet(g, v))
+        if coords is None or self.space.evaluate_q(coords) != d * self.space.evaluate_q(v):
+            return _coords_json(v)
 
 
 class LemmaReport:

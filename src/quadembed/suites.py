@@ -1,7 +1,8 @@
 """Seeded property suites behind `quadembed verify` and the acceptance tests.
 
-Each check draws its own RNG from (seed, check name), so a suite report is a
-pure function of its configuration.
+Each check is registered once, beside its definition, with `_check`.
+`run_suite` seeds its RNG from (seed, suite, check) and builds its result, so
+a suite report is a pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -85,12 +86,19 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "failures": self.failures, "info": self.info}
 
 
-def _rng(cfg: SuiteConfig, check: str) -> random.Random:
-    return random.Random(f"{cfg.seed}:{cfg.suite}:{check}")
+_CHECKS = {suite: [] for suite in SUITES}
 
 
-def _result(name, failures, **info) -> CheckResult:
-    return CheckResult(name, not failures, failures, info)
+def _check(suite: str, name: str, rng: str | None = None):
+    """Register `fn(cfg, rng, failures) -> info dict or None` as check `name`
+    of `suite`, run in definition order; `rng` names the RNG key where it
+    differs from `name`."""
+
+    def register(fn):
+        _CHECKS[suite].append((name, rng or name, fn))
+        return fn
+
+    return register
 
 
 # -- random generators ------------------------------------------------------
@@ -128,21 +136,19 @@ def random_homogeneous(rng, space, parity=None, max_terms=3, bound=4) -> Cliffor
 # -- suslin suite ------------------------------------------------------------
 
 
-def _suslin_identities(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "identities")
-    failures = []
+@_check("suslin", "identities")
+def _suslin_identities(cfg: SuiteConfig, rng, failures):
     for n in (1, 2, 3, 4):
         for _ in range(cfg.samples):
             p = random_pair(rng, cfg.ring, n + 1)
             report = check_suslin_identities(p)
             if not report.product_ok or report.det_ok is False:
                 failures.append(report.to_json())
-    return _result("identities", failures, sizes=[2, 4, 8, 16])
+    return {"sizes": [2, 4, 8, 16]}
 
 
-def _suslin_parity_law(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "parity_law")
-    failures = []
+@_check("suslin", "parity_law")
+def _suslin_parity_law(cfg: SuiteConfig, rng, failures):
     sizes = {}
     for n in (1, 2, 3):
         j = derive_j(n)
@@ -157,24 +163,21 @@ def _suslin_parity_law(cfg: SuiteConfig) -> CheckResult:
             target = suslin_bar(p) if j.bar_case else s
             if jr * s.transpose() * jr.transpose() != target:
                 failures.append({"n": n, "pair": [str(x) for x in p.v + p.w]})
-    return _result("parity_law", failures, j=sizes)
+    return {"j": sizes}
 
 
-def _suslin_bar_involution(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "bar_involution")
-    failures = []
+@_check("suslin", "bar_involution")
+def _suslin_bar_involution(cfg: SuiteConfig, rng, failures):
     for _ in range(cfg.samples):
         n = rng.randint(1, 3)
         p = random_pair(rng, cfg.ring, n + 1)
         q = bar_pair(p)
         if suslin(q) != suslin_bar(p) or bar_pair(q) != p:
             failures.append({"pair": [str(x) for x in p.v + p.w]})
-    return _result("bar_involution", failures)
 
 
-def _suslin_linearity(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "linearity")
-    failures = []
+@_check("suslin", "linearity")
+def _suslin_linearity(cfg: SuiteConfig, rng, failures):
     for _ in range(cfg.samples):
         n = rng.randint(1, 3)
         p = random_pair(rng, cfg.ring, n + 1)
@@ -186,7 +189,6 @@ def _suslin_linearity(cfg: SuiteConfig) -> CheckResult:
         )
         if suslin(summed) != suslin(p) + suslin(q):
             failures.append({"n": n})
-    return _result("linearity", failures)
 
 
 # -- clifford suite ----------------------------------------------------------
@@ -203,10 +205,9 @@ def _clifford_spaces(cfg: SuiteConfig, rng) -> list[QuadraticSpace]:
     return spaces
 
 
-def _clifford_associativity(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "associativity")
+@_check("clifford", "associativity")
+def _clifford_associativity(cfg: SuiteConfig, rng, failures):
     spaces = _clifford_spaces(cfg, rng)
-    failures = []
     for i in range(cfg.samples):
         space = spaces[i % len(spaces)]
         a = random_element(rng, space)
@@ -214,13 +215,12 @@ def _clifford_associativity(cfg: SuiteConfig) -> CheckResult:
         c = random_element(rng, space)
         if (a * b) * c != a * (b * c):
             failures.append({"space": space.to_json(), "index": i})
-    return _result("associativity", failures, spaces=len(spaces))
+    return {"spaces": len(spaces)}
 
 
-def _clifford_polarised(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "polarised")
+@_check("clifford", "polarised")
+def _clifford_polarised(cfg: SuiteConfig, rng, failures):
     spaces = _clifford_spaces(cfg, rng)
-    failures = []
     for i in range(cfg.samples):
         space = spaces[i % len(spaces)]
         u = random_vector(rng, space)
@@ -231,13 +231,11 @@ def _clifford_polarised(cfg: SuiteConfig) -> CheckResult:
             failures.append({"index": i})
         if (eu * eu) != cl_one(space).scale(space.evaluate_q(u)):
             failures.append({"index": i, "identity": "square"})
-    return _result("polarised", failures)
 
 
-def _clifford_grading(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "grading")
+@_check("clifford", "grading")
+def _clifford_grading(cfg: SuiteConfig, rng, failures):
     spaces = _clifford_spaces(cfg, rng)
-    failures = []
     for i in range(cfg.samples):
         space = spaces[i % len(spaces)]
         a = random_homogeneous(rng, space)
@@ -248,13 +246,11 @@ def _clifford_grading(cfg: SuiteConfig) -> CheckResult:
         prod = a * b
         if not prod.is_zero and is_homogeneous(prod) != (pa + pb) % 2:
             failures.append({"index": i})
-    return _result("grading", failures)
 
 
-def _clifford_involution(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "involution")
+@_check("clifford", "involution")
+def _clifford_involution(cfg: SuiteConfig, rng, failures):
     spaces = _clifford_spaces(cfg, rng)
-    failures = []
     for i in range(cfg.samples):
         space = spaces[i % len(spaces)]
         a = random_element(rng, space)
@@ -265,26 +261,22 @@ def _clifford_involution(cfg: SuiteConfig) -> CheckResult:
             failures.append({"index": i, "identity": "order2"})
         if grade_involution(grade_involution(a)) != a:
             failures.append({"index": i, "identity": "grade_involution"})
-    return _result("involution", failures)
 
 
-def _clifford_pbw(cfg: SuiteConfig) -> CheckResult:
-    failures = []
-    rng = _rng(cfg, "pbw")
+@_check("clifford", "pbw_count", rng="pbw")
+def _clifford_pbw(cfg: SuiteConfig, rng, failures):
     for n in range(1, 7):
         space = random_space(rng, cfg.ring, n)
         if len(pbw_basis(space)) != 1 << n:
             failures.append({"rank": n})
-    return _result("pbw_count", failures)
 
 
-def _clifford_tensor_assoc(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "tensor_assoc")
+@_check("clifford", "tensor_assoc")
+def _clifford_tensor_assoc(cfg: SuiteConfig, rng, failures):
     pairs = [
         (diagonal_space([-1], cfg.ring), diagonal_space([-1], cfg.ring)),
         (hyperbolic(1, cfg.ring), diagonal_space([1], cfg.ring)),
     ]
-    failures = []
     for i in range(cfg.samples):
         s1, s2 = pairs[i % len(pairs)]
         alg = GradedTensorAlgebra(s1, s2)
@@ -295,31 +287,30 @@ def _clifford_tensor_assoc(cfg: SuiteConfig) -> CheckResult:
         a, b, c = elems
         if (a * b) * c != a * (b * c):
             failures.append({"index": i})
-    return _result("tensor_assoc", failures)
 
 
-def _clifford_graded_iso(cfg: SuiteConfig) -> CheckResult:
+@_check("clifford", "graded_iso_sum")
+def _clifford_graded_iso(cfg: SuiteConfig, rng, failures):
     cases = [
         (diagonal_space([-1], cfg.ring), diagonal_space([-1], cfg.ring)),
         (diagonal_space([1], cfg.ring), hyperbolic(1, cfg.ring)),
         (hyperbolic(1, cfg.ring), hyperbolic(1, cfg.ring)),
     ]
-    failures = []
     for s1, s2 in cases:
         if not check_graded_iso_sum(s1, s2):
             failures.append({"ranks": [s1.rank, s2.rank]})
-    return _result("graded_iso_sum", failures, cases=len(cases))
+    return {"cases": len(cases)}
 
 
-def _clifford_suslin_rank(cfg: SuiteConfig) -> CheckResult:
-    failures = []
+@_check("clifford", "suslin_faithfulness")
+def _clifford_suslin_rank(cfg: SuiteConfig, rng, failures):
     ranks = {}
     for n in (2, 3):
         phi = build_phi(cfg.suslin_bed(n))
         ranks[str(n)] = phi.monomial_rank
         if phi.monomial_rank != 1 << (2 * n):
             failures.append({"n": n, "rank": phi.monomial_rank})
-    return _result("suslin_faithfulness", failures, ranks=ranks)
+    return {"ranks": ranks}
 
 
 # -- embedding suite ---------------------------------------------------------
@@ -335,19 +326,16 @@ def _embedding_beds(cfg: SuiteConfig, rng):
     return beds
 
 
-def _embedding_validate(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "validate")
-    failures = []
+@_check("embedding", "validate")
+def _embedding_validate(cfg: SuiteConfig, rng, failures):
     for bed in _embedding_beds(cfg, rng):
         report = validate_embedding(bed)
         if not report.passed:
             failures.append({"bed": repr(bed), "failures": report.failures})
-    return _result("validate", failures)
 
 
-def _embedding_phi(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "phi")
-    failures = []
+@_check("embedding", "phi")
+def _embedding_phi(cfg: SuiteConfig, rng, failures):
     for bed in _embedding_beds(cfg, rng):
         if not bed.space.is_nondegenerate():
             continue
@@ -365,12 +353,10 @@ def _embedding_phi(cfg: SuiteConfig) -> CheckResult:
             if not h.is_zero:
                 if parity_of_block_matrix(phi(h)) != is_homogeneous(h):
                     failures.append({"bed": repr(bed), "index": i, "identity": "parity"})
-    return _result("phi", failures)
 
 
-def _embedding_jordan(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "jordan")
-    failures = []
+@_check("embedding", "jordan")
+def _embedding_jordan(cfg: SuiteConfig, rng, failures):
     for bed in _embedding_beds(cfg, rng):
         for i in range(max(1, cfg.samples // 4)):
             v = random_vector(rng, bed.space)
@@ -384,24 +370,20 @@ def _embedding_jordan(cfg: SuiteConfig) -> CheckResult:
             want = [bv * a - qv * b for a, b in zip(v, wbar)]
             if got != want:
                 failures.append({"bed": repr(bed), "index": i})
-    return _result("jordan", failures)
 
 
-def _embedding_unit_trace(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "unit_trace")
-    failures = []
+@_check("embedding", "unit_trace")
+def _embedding_unit_trace(cfg: SuiteConfig, rng, failures):
     for n in (2, 3):
         bed = cfg.suslin_bed(n)
         for i in range(cfg.samples):
             v = random_vector(rng, bed.space)
             if not (bed.rho_of(v) + bed.rho_bar_of(v)).is_scalar():
                 failures.append({"n": n, "index": i})
-    return _result("unit_trace", failures)
 
 
-def _embedding_lifted_involution(cfg: SuiteConfig) -> CheckResult:
-    rng = _rng(cfg, "lifted_involution")
-    failures = []
+@_check("embedding", "lifted_involution")
+def _embedding_lifted_involution(cfg: SuiteConfig, rng, failures):
     beds = [
         cfg.suslin_bed(2),
         cfg.suslin_bed(3),
@@ -429,11 +411,11 @@ def _embedding_lifted_involution(cfg: SuiteConfig) -> CheckResult:
                 failures.append({"bed": repr(bed), "index": i, "identity": "order2"})
             if star(m * n2) != star(n2) * star(m):
                 failures.append({"bed": repr(bed), "index": i, "identity": "anti"})
-    return _result("lifted_involution", failures, beds=len(beds))
+    return {"beds": len(beds)}
 
 
-def _embedding_conflict(cfg: SuiteConfig) -> CheckResult:
-    failures = []
+@_check("embedding", "involution_structure")
+def _embedding_conflict(cfg: SuiteConfig, rng, failures):
     bed = cfg.suslin_bed(2)
     if involutions_conflict_check(bed) is not True:
         failures.append({"bed": repr(bed)})
@@ -442,7 +424,7 @@ def _embedding_conflict(cfg: SuiteConfig) -> CheckResult:
     witness = [1, 0, 1, 1]  # bar moves it, unless 2 = 0
     if cfg.ring(2).is_zero:
         skipped = {"witness": f"2 = 0, so bar fixes {witness}", "u=-1 lift": "2 = 0, so u = -1 is u = 1"}
-        return _result("involution_structure", failures, skipped=skipped)
+        return {"skipped": skipped}
     if involutions_conflict_check(bed, witness) is not True:
         failures.append({"bed": repr(bed), "witness": witness})
     try:
@@ -450,13 +432,11 @@ def _embedding_conflict(cfg: SuiteConfig) -> CheckResult:
         failures.append({"identity": "u=-1 lift must be rejected"})
     except InvolutionError:
         pass
-    return _result("involution_structure", failures)
 
 
-def _embedding_bridge(cfg: SuiteConfig) -> CheckResult:
+@_check("embedding", "involution_bridge", rng="bridge")
+def _embedding_bridge(cfg: SuiteConfig, rng, failures):
     """The reversal on the Clifford side must match the lifted involution."""
-    rng = _rng(cfg, "bridge")
-    failures = []
     for n in (2, 3):
         bed = cfg.suslin_bed(n)
         phi = build_phi(bed)
@@ -468,23 +448,22 @@ def _embedding_bridge(cfg: SuiteConfig) -> CheckResult:
     restriction = standard_involution_restriction(cfg.suslin_bed(2))
     if restriction is not True:
         failures.append({"identity": "restriction_to_A", "got": restriction})
-    return _result("involution_bridge", failures)
 
 
 # -- spin suite --------------------------------------------------------------
 
 
-def _spin_lemmas(cfg: SuiteConfig) -> CheckResult:
+@_check("spin", "lemmas")
+def _spin_lemmas(cfg: SuiteConfig, rng, failures):
     ctx = cfg.spin_bed
     reports = ctx.lemma_checks(cfg.seed, cfg.samples)
-    failures = [r.to_json() for r in reports if not r.passed]
-    return _result("lemmas", failures, reports=[r.to_json() for r in reports])
+    failures.extend(r.to_json() for r in reports if not r.passed)
+    return {"reports": [r.to_json() for r in reports]}
 
 
-def _spin_norm_multiplicative(cfg: SuiteConfig) -> CheckResult:
+@_check("spin", "norm_multiplicative")
+def _spin_norm_multiplicative(cfg: SuiteConfig, rng, failures):
     ctx = cfg.spin_bed
-    rng = _rng(cfg, "norm_multiplicative")
-    failures = []
     for i in range(cfg.samples):
         g = ctx.sample_group_element(rng, allow_scaling=True)
         h = ctx.sample_group_element(rng, allow_scaling=True)
@@ -492,13 +471,11 @@ def _spin_norm_multiplicative(cfg: SuiteConfig) -> CheckResult:
             failures.append({"index": i})
         if ctx.norm_d(g) != ctx.norm_d(ctx.star(g)):
             failures.append({"index": i, "identity": "star"})
-    return _result("norm_multiplicative", failures)
 
 
-def _spin_elementary_family(cfg: SuiteConfig) -> CheckResult:
+@_check("spin", "elementary_family")
+def _spin_elementary_family(cfg: SuiteConfig, rng, failures):
     ctx = cfg.spin_bed
-    rng = _rng(cfg, "elementary_family")
-    failures = []
     one = ctx.ring.one
     for i in range(cfg.samples):
         g = ctx.sample_elementary_product(rng)
@@ -518,14 +495,13 @@ def _spin_elementary_family(cfg: SuiteConfig) -> CheckResult:
         coords = ctx.conjugation_coords(pair, v)
         if coords is None or ctx.space.evaluate_q(coords) != ctx.space.evaluate_q(v):
             failures.append({"index": i, "identity": "isometry"})
-    return _result("elementary_family", failures)
 
 
 # -- catalog suite -----------------------------------------------------------
 
 
-def _catalog_families(cfg: SuiteConfig) -> CheckResult:
-    failures = []
+@_check("catalog", "families")
+def _catalog_families(cfg: SuiteConfig, rng, failures):
     details = {}
     for family in FAMILIES:
         for n in (1, 2):
@@ -534,48 +510,15 @@ def _catalog_families(cfg: SuiteConfig) -> CheckResult:
                 details[f"{family}:{n}"] = len(gens)
             except CatalogError as err:
                 failures.append({"family": family, "n": n, "error": str(err)})
-    return _result("families", failures, generators=details)
-
-
-_SUITE_CHECKS = {
-    "suslin": [
-        _suslin_identities,
-        _suslin_parity_law,
-        _suslin_bar_involution,
-        _suslin_linearity,
-    ],
-    "clifford": [
-        _clifford_associativity,
-        _clifford_polarised,
-        _clifford_grading,
-        _clifford_involution,
-        _clifford_pbw,
-        _clifford_tensor_assoc,
-        _clifford_graded_iso,
-        _clifford_suslin_rank,
-    ],
-    "embedding": [
-        _embedding_validate,
-        _embedding_phi,
-        _embedding_jordan,
-        _embedding_unit_trace,
-        _embedding_lifted_involution,
-        _embedding_conflict,
-        _embedding_bridge,
-    ],
-    "spin": [
-        _spin_lemmas,
-        _spin_norm_multiplicative,
-        _spin_elementary_family,
-    ],
-    "catalog": [
-        _catalog_families,
-    ],
-}
+    return {"generators": details}
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
-    checks = [fn(cfg) for fn in _SUITE_CHECKS[cfg.suite]]
+    checks = []
+    for name, key, fn in _CHECKS[cfg.suite]:
+        failures = []
+        info = fn(cfg, random.Random(f"{cfg.seed}:{cfg.suite}:{key}"), failures)
+        checks.append(CheckResult(name, not failures, failures, info or {}))
     return {
         "suite": cfg.suite,
         "seed": cfg.seed,

@@ -410,6 +410,54 @@ def test_verify_report_digests_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_a_failing_report_is_pinned(monkeypatch):
+    """With q(x) read as q(x) + 1, five checks fail; the whole report,
+    failures included, is pinned, so a check that drops its failures or a
+    runner that loses them moves the digest."""
+    from quadembed.qspace import QuadraticSpace
+    from quadembed.scalars import ZZ
+    from quadembed.suites import run_suites
+
+    real = QuadraticSpace.evaluate_q
+    monkeypatch.setattr(QuadraticSpace, "evaluate_q", lambda self, x: real(self, x) + 1)
+    report = run_suites("all", 0, 2, ZZ)
+    failed = [(s["suite"], c["name"]) for s in report["suites"] for c in s["checks"] if not c["passed"]]
+    assert failed == [
+        ("clifford", "polarised"),
+        ("embedding", "jordan"),
+        ("spin", "lemmas"),
+        ("spin", "norm_multiplicative"),
+        ("spin", "elementary_family"),
+    ]
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d08c71817ef0688b2e897859571fe0af53659efae9fd953fee5a3b71a1ea2b85"
+    )
+
+
+def test_each_suite_reports_its_checks_in_order():
+    from quadembed.scalars import ZZ
+    from quadembed.suites import SUITES, run_suites
+
+    want = {
+        "suslin": ["identities", "parity_law", "bar_involution", "linearity"],
+        "clifford": [
+            "associativity", "polarised", "grading", "involution", "pbw_count",
+            "tensor_assoc", "graded_iso_sum", "suslin_faithfulness",
+        ],
+        "embedding": [
+            "validate", "phi", "jordan", "unit_trace", "lifted_involution",
+            "involution_structure", "involution_bridge",
+        ],
+        "spin": ["lemmas", "norm_multiplicative", "elementary_family"],
+        "catalog": ["families"],
+    }
+    assert list(SUITES) == list(want)
+    for name in SUITES:
+        report = run_suites(name, 0, 1, ZZ)["suites"][0]
+        assert [c["name"] for c in report["checks"]] == want[name]
+
+
 def test_cli_output_digests_are_pinned(capsys):
     """The other fast CLI outputs, byte for byte, against digests recorded
     before the Clifford product became a fold of generator actions."""

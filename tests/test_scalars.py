@@ -228,6 +228,25 @@ def test_rank_over_fractions_refuses_modular_vectors():
         rank_over_fractions([ints(z6, [2, 3]), ints(z6, [4, 0])])
 
 
+def test_vectors_of_another_ring_are_refused():
+    """A solver or a rank reads only vectors over its own ring: a raw
+    value of another ring would be misread (5 mod 6 as the integer 5)."""
+    half = QQ(Fraction(1, 2))
+    calls = [
+        lambda: SpanSolver([[half]], ZZ).solve([ZZ(1)]),
+        lambda: SpanSolver([[Zmod(6)(5)]], ZZ).solve([ZZ(5)]),
+        lambda: SpanSolver([[ZZ(2)]], ZZ).solve([Zmod(4)(2)]),
+        lambda: SpanSolver([[ZZ(1)]], ZZ).solve([half]),
+        lambda: rank_in_ring([[ZZ(2)], [ZZ(3)]], Zmod(6)),
+        lambda: rank_in_ring(ScalarMatrix.identity(2, ZZ), QQ),
+        lambda: SpanSolver([ScalarMatrix.identity(2, Zmod(6))], ZZ),
+        lambda: solve_in_ring(ScalarMatrix.identity(1, QQ), [ZZ(1)]),
+    ]
+    for call in calls:
+        with pytest.raises(RingError, match="not over"):
+            call()
+
+
 def test_vectors_of_unequal_length_are_refused():
     # a length read off the first vector solves [0, 1] as [5, 0] over Z/6,
     # which does not substitute back, and truncates or overruns over Z and Q

@@ -2,14 +2,15 @@
 on the rank-6 hyperbolic bed."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 import quadembed.scalars as scalars
 from quadembed.algmat import block2
-from quadembed.embedding import build_phi, lift_involution
-from quadembed.qspace import random_vector
+from quadembed.embedding import Embedding, InvolutionForm, build_phi, lift_involution
+from quadembed.qspace import diagonal_space, random_vector
 from quadembed.scalars import QQ, ScalarMatrix, ShapeError, SpanSolver, ZZ, Zmod
 from quadembed.spin import EvenPair, SpinContext, SpinError
 from quadembed.suslin import suslin_embedding
@@ -389,3 +390,57 @@ def test_spin_context_builds_no_solver(monkeypatch):
         assert again.is_in_spin(EvenPair(pair.g1, pair.g2)) and built == [32]
         monkeypatch.undo()
         built.clear()
+
+
+def rank_one_ctx():
+    """A certified bed on the rank-1 space x^2, embedded as its own unit."""
+    eye = ScalarMatrix.identity(1, ZZ)
+    e = Embedding(
+        diagonal_space([1], ZZ), ZZ, 1, [eye], eye,
+        involution=InvolutionForm(1, ZZ(1)), a_star=lambda m: m,
+    )
+    return SpinContext(e)
+
+
+class Hung(Exception):
+    pass
+
+
+def within(seconds, call):
+    """call(), interrupted with Hung if it runs longer than `seconds`."""
+
+    def interrupt(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, interrupt)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_lemma_4_1_refuses_a_rank_one_space():
+    ctx = rank_one_ctx()
+    with pytest.raises(SpinError, match="rank at least 2"):
+        within(5, lambda: ctx.lemma_checks(0, 1))
+
+
+def test_lemma_4_1_draws_a_bounded_number_of_vectors(monkeypatch):
+    """A sampler that never leaves the line of the unit ends in SpinError."""
+    import quadembed.spin as spin
+
+    ctx = ctx_z()
+    monkeypatch.setattr(spin, "random_vector", lambda rng, space: list(ctx.one_coords))
+    with pytest.raises(SpinError, match="independent of the unit"):
+        within(5, lambda: ctx.lemma_checks(0, 1))
+
+
+def test_norm_one_vectors_need_the_hyperbolic_form():
+    with pytest.raises(SpinError, match="hyperbolic"):
+        rank_one_ctx().random_norm_one_vector(random.Random(0))
+    rng = random.Random(3)
+    ctx = ctx_z()
+    for _ in range(20):
+        assert ctx.space.evaluate_q(ctx.random_norm_one_vector(rng)) == ZZ.one
