@@ -2,8 +2,9 @@
 
 Elements are finitely supported maps from basis masks to scalars.  A mask is
 a bit pattern over the generator indices; mask 0 is the unit and the grade
-of a monomial is its popcount.  Every product is a fold of one closed form,
-a generator times an ordered monomial, valid for non-orthogonal forms.
+of a monomial is its popcount.  Every product runs one Horner-rule kernel
+(`_horner`) over one closed form, a generator times an ordered monomial,
+valid for non-orthogonal forms.
 """
 
 from __future__ import annotations
@@ -62,11 +63,7 @@ class CliffordElement:
         # over Q, both factors become integers over one denominator each
         va, da = raw_row(self.terms.values(), ring)
         vb, db = raw_row(other.terms.values(), ring)
-        raw = dict(zip(other.terms, vb))
-        acc: dict = {}
-        for m1, v1 in zip(self.terms, va):
-            for m, v in _left_multiply(self.space, raw, _generators(m1)).items():
-                _bump(acc, m, v1 * v)
+        acc = _horner(self.space, dict(zip(self.terms, va)), dict(zip(other.terms, vb)))
         return CliffordElement(self.space, _boxed(ring, acc, da * db))
 
     def __eq__(self, other):
@@ -147,21 +144,41 @@ def _generators(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _left_multiply(space: QuadraticSpace, terms: dict, gens) -> dict:
-    """e_g1 e_g2 ... e_gk times the raw terms {mask: value}, applying the
-    last generator first.  The space keeps each generator action it uses
-    under (i, mask), at most rank * 2^rank of them."""
+def _horner(space: QuadraticSpace, x: dict, y: dict, reverse: bool = False) -> dict:
+    """The sum over m of x[m] word(m) y, on raw terms {mask: value}, where
+    word(m) is the ordered monomial e_m, or its generators in reverse order
+    with `reverse`.
+
+    Horner's rule on the first letter g of every word in x, the lowest
+    generator any mask holds (the highest with `reverse`): x = x0 + e_g x1
+    with g in no mask of x0, so x y = x0 y + e_g (x1 y), and e_g acts once on
+    the merged x1 y rather than once per term that begins with it.  The
+    space keeps each generator action it uses under (i, mask), at most
+    rank * 2^rank of them."""
+    held = 0
+    for m in x:
+        held |= m
+    if not held:
+        v = x.get(0)
+        return {m: v * c for m, c in y.items()} if v else {}
+    g = held.bit_length() - 1 if reverse else (held & -held).bit_length() - 1
+    bit, x0, x1 = 1 << g, {}, {}
+    for m, v in x.items():
+        if m & bit:
+            x1[m ^ bit] = v
+        else:
+            x0[m] = v
+    acc = _horner(space, x0, y, reverse) if x0 else {}
     table = space.products
-    for i in reversed(gens):
-        acc: dict = {}
-        for m, v in terms.items():
-            action = table.get((i, m))
-            if action is None:
-                action = table[i, m] = _gen_action(space, i, m)
-            for m2, c in action:
-                acc[m2] = acc.get(m2, 0) + v * c
-        terms = acc
-    return terms
+    for m, v in _horner(space, x1, y, reverse).items():
+        if not v:
+            continue
+        action = table.get((g, m))
+        if action is None:
+            action = table[g, m] = _gen_action(space, g, m)
+        for m2, c in action:
+            acc[m2] = acc.get(m2, 0) + v * c
+    return acc
 
 
 def _boxed(ring, raw: dict, den: int = 1) -> dict:
@@ -212,12 +229,8 @@ def standard_involution(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism extending v -> -v on vectors: each monomial's
     generators multiplied in reverse order, times (-1)^grade."""
     vals, den = raw_row(a.terms.values(), a.space.ring)
-    acc: dict = {}
-    for mask, v in zip(a.terms, vals):
-        gens = _generators(mask)
-        start = {0: -v if len(gens) % 2 else v}
-        for m, w in _left_multiply(a.space, start, gens[::-1]).items():
-            _bump(acc, m, w)
+    signed = {m: -v if bin(m).count("1") % 2 else v for m, v in zip(a.terms, vals)}
+    acc = _horner(a.space, signed, {0: 1}, reverse=True)
     return CliffordElement(a.space, _boxed(a.space.ring, acc, den))
 
 
@@ -348,13 +361,13 @@ class GradedTensorElement:
         vb, db = raw_row(other.terms.values(), self.algebra.ring)
         acc: dict = {}
         for (a1, b1), v1 in zip(self.terms, va):
-            ga, gb, deg = _generators(a1), _generators(b1), bin(b1).count("1")
+            deg = bin(b1).count("1")
             for (a2, b2), v2 in zip(other.terms, vb):
                 coeff = v1 * v2
                 if deg * bin(a2).count("1") % 2:
                     coeff = -coeff
-                right = _left_multiply(s2, {b2: 1}, gb)
-                for ma, ca in _left_multiply(s1, {a2: 1}, ga).items():
+                right = _horner(s2, {b1: 1}, {b2: 1})
+                for ma, ca in _horner(s1, {a1: 1}, {a2: 1}).items():
                     for mb, cb in right.items():
                         _bump(acc, (ma, mb), coeff * ca * cb)
         return GradedTensorElement(self.algebra, _boxed(self.algebra.ring, acc, da * db))

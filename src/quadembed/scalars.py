@@ -709,21 +709,34 @@ def rank_in_ring(vectors, ring: Ring) -> int:
     rows they leave (`_rank`)."""
     matrix = isinstance(vectors, ScalarMatrix)
     for v in [vectors] if matrix else vectors:
-        _in_ring(v, ring)
+        _in_ring(v, ring, _algebra(v if matrix else vectors[0], ring))
     if not isinstance(ring, ModularRing):
         return rank_over_fractions(vectors)
     rows = vectors._elimination_rows()[0] if matrix else _raw_rows(vectors, ring)
     return _rank(rows, ring.modulus)
 
 
-def _in_ring(x, ring: Ring):
-    """`x`, refused with RingError unless it is a vector over `ring`: where
-    vectors enter a solver or a rank, one identity check for a vector that
-    carries its ring (a matrix or a Clifford element), one per entry for a
-    sequence of Scalars."""
+def _in_ring(x, ring: Ring, algebra=None):
+    """`x`, refused with RingError unless it is a vector over `ring` and,
+    when `algebra` is given, over that coefficient algebra: where vectors
+    enter a solver or a rank, one identity check for a vector that carries
+    its ring (a matrix or a Clifford element), one per entry for a sequence
+    of Scalars."""
     if x.ring is not ring if hasattr(x, "ring") else any(s.ring is not ring for s in x):
         raise RingError(f"vector is not over {ring.name}")
+    if algebra is not None:
+        own = _algebra(x, ring)
+        if own is not algebra and own != algebra:
+            raise RingError("vectors have different coefficient algebras")
     return x
+
+
+def _algebra(x, ring: Ring):
+    """The algebra a vector's coefficients are read in, which the first
+    vector fixes for the rest: a matrix's or a tensor element's `algebra`,
+    a Clifford element's `space`, and `ring` for a sequence of Scalars."""
+    algebra = getattr(x, "algebra", None)
+    return getattr(x, "space", ring) if algebra is None else algebra
 
 
 def _raw_rows(vectors, ring: Ring) -> list[list[int]]:
@@ -826,9 +839,11 @@ class SpanSolver:
     `raw_row` reads: Scalars, or a matrix in row-major order."""
 
     def __init__(self, columns, ring: Ring):
-        cols = [raw_row(_in_ring(col, ring), ring) for col in columns]
-        if not cols:
+        columns = list(columns)
+        if not columns:
             raise ShapeError("need at least one spanning vector")
+        self._algebra = _algebra(columns[0], ring)
+        cols = [raw_row(_in_ring(col, ring, self._algebra), ring) for col in columns]
         if len({len(col) for col, _ in cols}) > 1:
             raise ShapeError("spanning vectors must have equal length")
         self.ring = ring
@@ -859,7 +874,7 @@ class SpanSolver:
         return [sum(map(mul, map(row.__getitem__, nz), vs)) for row in self._rows]
 
     def solve(self, target) -> list[Scalar] | None:
-        b, den = raw_row(_in_ring(target, self.ring), self.ring)
+        b, den = raw_row(_in_ring(target, self.ring, self._algebra), self.ring)
         if len(b) != self.n:
             raise ShapeError("vector length does not match span vectors")
         ring, r = self.ring, self.rank

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from quadembed.algmat import (
     AlgMatrix,
     CliffordCoeffs,
@@ -15,7 +17,7 @@ from quadembed.algmat import (
 )
 from quadembed.clifford import CliffordElement, extend_universal, monomial
 from quadembed.qspace import QuadraticSpace, diagonal_space, hyperbolic
-from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod, raw_row
+from quadembed.scalars import QQ, RingError, ScalarMatrix, SpanSolver, ZZ, Zmod, rank_in_ring, raw_row
 from quadembed.suslin import suslin, suslin_embedding, suslin_pair
 
 
@@ -246,3 +248,23 @@ def test_raw_read_of_a_clifford_entry_matrix_is_its_flattened_values():
             flat = m.flatten()
             assert m.raw_values() == [c.value for c in flat]
             assert raw_row(m, ring) == raw_row(flat, ring)
+
+
+def test_vectors_of_another_clifford_algebra_are_refused():
+    # [e1] over Cl(x^2) and [e1] over Cl(-x^2) share the ring Z and their raw
+    # values; read as one another's vectors, the solve gave [1] and the rank 1
+    plus, minus = diagonal_space([1], ZZ), diagonal_space([-1], ZZ)
+    pairs = [
+        (AlgMatrix(CliffordCoeffs(plus), [[monomial(plus, 1)]]),
+         AlgMatrix(CliffordCoeffs(minus), [[monomial(minus, 1)]])),
+        (monomial(plus, 1), monomial(minus, 1)),
+    ]
+    for a, b in pairs:
+        with pytest.raises(RingError, match="coefficient algebras"):
+            SpanSolver([a], ZZ).solve(b)
+        with pytest.raises(RingError, match="coefficient algebras"):
+            SpanSolver([a, b], ZZ)
+        with pytest.raises(RingError, match="coefficient algebras"):
+            rank_in_ring([a, b], ZZ)
+        assert SpanSolver([a], ZZ).solve(a) == [ZZ(1)]
+        assert rank_in_ring([a, a.scale(ZZ(2))], ZZ) == 1

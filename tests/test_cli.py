@@ -26,6 +26,13 @@ MISSING_DIR = str(PACKAGE_ROOT / "no-such-directory")
 GENERAL_RANK3 = json.dumps(
     {"ring": "Z", "q": [["1", "2", "-1"], ["0", "-3", "1"], ["0", "0", "2"]]}
 )
+GENERAL_RANK5 = json.dumps({"ring": "Z", "q": [
+    ["2", "1", "-1", "3", "0"],
+    ["0", "-1", "2", "1", "-2"],
+    ["0", "0", "3", "-1", "1"],
+    ["0", "0", "0", "1", "2"],
+    ["0", "0", "0", "0", "-2"],
+]})
 
 
 def run_cli(capsys, *argv):
@@ -460,7 +467,9 @@ def test_each_suite_reports_its_checks_in_order():
 
 def test_cli_output_digests_are_pinned(capsys):
     """The other fast CLI outputs, byte for byte, against digests recorded
-    before the Clifford product became a fold of generator actions."""
+    before the Clifford product became a fold of generator actions, and for
+    the dense rank-5 product (nine terms each, most sharing e1 e2) before
+    the fold became Horner's rule on shared prefixes."""
     want = [
         (("suslin", "--v", "1,2", "--w", "3,4", "--bar", "--check"),
          "61247dd38e3ef7033e076d4e83e72368c524cd9198bf07275f50129515ce643f"),
@@ -504,6 +513,10 @@ def test_cli_output_digests_are_pinned(capsys):
         (("clifford", "mul", "--space", "hyp:2", "--ring", "q",
          "--a", "15:1/2,3:1,5:-1,8:2/5", "--b", "6:1/3,9:3,1:2,4:-3/4"),
          "8f991e869beece3b08ce1559bee6f9532f0de68b9f7d8e5749adaf0013f0b5d3"),
+        (("clifford", "mul", "--space", GENERAL_RANK5,
+          "--a", "3:2,7:-1,11:3,15:1,19:-2,23:1,27:4,31:-3,1:5",
+          "--b", "5:1,7:2,13:-1,15:3,21:2,29:-1,31:1,3:-2,0:4"),
+         "54ad56aacf072574bd5a4910f9e5f8dcf9b4e07df63316f783ff97165a3b1a66"),
     ]
     for argv, digest in want:
         code, out, _ = run_cli(capsys, *argv)

@@ -11,6 +11,7 @@ from quadembed.clifford import (
     CliffordElement,
     CliffordRelationError,
     GradedTensorAlgebra,
+    GradedTensorElement,
     check_graded_iso_sum,
     cl_one,
     embed_vector,
@@ -112,6 +113,87 @@ def test_monomial_products_match_word_oracle():
             want = word_multiply(space, mask_word(m1)[::-1], ())
             got = standard_involution(monomial(space, m1))
             assert got.terms == {m: sign * c for m, c in want.items()}, (space, m1)
+
+
+def oracle_product(space, x, y):
+    """The bilinear sum of word-oracle products over the terms of x and y."""
+    acc = {}
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
+            for m, c in word_multiply(space, mask_word(m1), mask_word(m2)).items():
+                acc[m] = acc.get(m, space.ring.zero) + c1 * c2 * c
+    return {m: c for m, c in acc.items() if not c.is_zero}
+
+
+def rand_q_space(rng, rank):
+    return QuadraticSpace(ScalarMatrix.from_rows(
+        [[QQ(Fraction(rng.randint(-3, 3), rng.randint(1, 4))) if j >= i else QQ(0)
+          for j in range(rank)] for i in range(rank)]
+    ))
+
+
+def test_dense_products_and_reversals_match_word_oracle():
+    # multi-term elements whose words share their low (and high) generators,
+    # so the product folds shared prefixes; also the empty element, a mask-0
+    # term, and over Z/6 factors whose every product is 0 mod 6
+    rng = random.Random(5)
+    spaces = [rand_space(rng, ring, rank) for rank in (4, 5) for ring in (ZZ, Zmod(6))]
+    spaces += [rand_q_space(rng, 4), rand_q_space(rng, 5)]
+    for space in spaces:
+        ring, n = space.ring, space.rank
+        low = [m for m in range(1 << n) if m & 1] + [m for m in range(1 << n) if m >> n - 1]
+
+        def dense(k, coeffs, pool=low):
+            terms = {rng.choice(pool): ring(rng.choice(coeffs)) for _ in range(k)}
+            if ring is QQ:
+                terms = {m: c * QQ(Fraction(1, rng.randint(1, 5))) for m, c in terms.items()}
+            return CliffordElement(space, terms)
+
+        elements = [dense(12, (-3, -2, -1, 1, 2, 3)) for _ in range(3)]
+        elements.append(dense(8, (-2, 1, 3)) + cl_one(space).scale(ring(2)))
+        elements.append(CliffordElement(space, {}))
+        pairs = [(x, y) for x in elements for y in elements[:3]]
+        if ring == Zmod(6):
+            x, y = dense(10, (2, 4)), dense(10, (3,))
+            assert (x * y).is_zero and (y * x).is_zero
+            pairs += [(x, y), (y, x)]
+        for x, y in pairs:
+            assert (x * y).terms == oracle_product(space, x.terms, y.terms), space
+        for x in elements:
+            want = {}
+            for m, c in x.terms.items():
+                sign = ring(-1 if bin(m).count("1") % 2 else 1)
+                for m2, c2 in word_multiply(space, mask_word(m)[::-1], ()).items():
+                    want[m2] = want.get(m2, ring.zero) + sign * c * c2
+            want = {m: c for m, c in want.items() if not c.is_zero}
+            assert standard_involution(x).terms == want, space
+
+
+def test_dense_tensor_product_follows_the_sign_rule():
+    # (a1 (x) b1)(a2 (x) b2) = (-1)^(|b1| |a2|) a1 a2 (x) b1 b2, summed over
+    # the terms of two multi-term elements, each factor product by the oracle
+    rng = random.Random(6)
+    for ring in (ZZ, Zmod(6)):
+        s1, s2 = rand_space(rng, ring, 3), rand_space(rng, ring, 2)
+        alg = GradedTensorAlgebra(s1, s2)
+
+        def element():
+            return GradedTensorElement(alg, {
+                (rng.randrange(8), rng.randrange(4)): ring(rng.randint(-3, 3)) for _ in range(6)
+            })
+
+        x, y = element(), element()
+        want = {}
+        for (a1, b1), c1 in x.terms.items():
+            for (a2, b2), c2 in y.terms.items():
+                sign = -1 if bin(b1).count("1") * bin(a2).count("1") % 2 else 1
+                left = oracle_product(s1, {a1: ring.one}, {a2: ring.one})
+                right = oracle_product(s2, {b1: ring.one}, {b2: ring.one})
+                for ma, ca in left.items():
+                    for mb, cb in right.items():
+                        key = (ma, mb)
+                        want[key] = want.get(key, ring.zero) + ring(sign) * c1 * c2 * ca * cb
+        assert (x * y).terms == {k: c for k, c in want.items() if not c.is_zero}
 
 
 def test_embed_vector_examples():

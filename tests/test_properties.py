@@ -1,6 +1,8 @@
 """Hypothesis-driven algebraic laws, complementing the seeded suites with
 shrinking counterexamples should anything regress."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +16,28 @@ from quadembed.clifford import (
     standard_involution,
 )
 from quadembed.qspace import QuadraticSpace
-from quadembed.scalars import ScalarMatrix, ZZ
+from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod
+
+
+RINGS = (ZZ, QQ, Zmod(2), Zmod(6))
+
+
+def scalars(ring, bound):
+    """Scalars of `ring` with numerators in [-bound, bound]; over Q with
+    denominators up to 4, so forms and coefficients are not integral."""
+    ints = st.integers(-bound, bound)
+    if ring is QQ:
+        return st.builds(lambda n, d: QQ(Fraction(n, d)), ints, st.integers(1, 4))
+    return ints.map(ring)
 
 
 @st.composite
-def spaces(draw, max_rank=3):
+def spaces(draw, max_rank=4, ring=None):
+    ring = draw(st.sampled_from(RINGS)) if ring is None else ring
     rank = draw(st.integers(1, max_rank))
     rows = []
     for i in range(rank):
-        row = [ZZ(0)] * i + [
-            ZZ(draw(st.integers(-3, 3))) for _ in range(rank - i)
-        ]
+        row = [ring(0)] * i + [draw(scalars(ring, 3)) for _ in range(rank - i)]
         rows.append(row)
     return QuadraticSpace(ScalarMatrix.from_rows(rows))
 
@@ -34,7 +47,7 @@ def elements(draw, space, max_terms=3):
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
         mask = draw(st.integers(0, (1 << space.rank) - 1))
-        terms[mask] = ZZ(draw(st.integers(-4, 4)))
+        terms[mask] = draw(scalars(space.ring, 4))
     return CliffordElement(space, terms)
 
 
@@ -78,7 +91,7 @@ def test_grade_involution_is_an_automorphism(triple):
 @st.composite
 def space_with_vectors(draw):
     space = draw(spaces())
-    vec = lambda: [ZZ(draw(st.integers(-4, 4))) for _ in range(space.rank)]
+    vec = lambda: [draw(scalars(space.ring, 4)) for _ in range(space.rank)]
     return space, vec(), vec()
 
 
@@ -93,14 +106,15 @@ def test_polarised_generator_relation(data):
 
 @st.composite
 def tensor_pairs(draw):
-    s1 = draw(spaces(max_rank=2))
-    s2 = draw(spaces(max_rank=2))
+    ring = draw(st.sampled_from(RINGS))
+    s1 = draw(spaces(max_rank=2, ring=ring))
+    s2 = draw(spaces(max_rank=2, ring=ring))
     alg = GradedTensorAlgebra(s1, s2)
 
     def homog():
         m1 = draw(st.integers(0, (1 << s1.rank) - 1))
         m2 = draw(st.integers(0, (1 << s2.rank) - 1))
-        c = ZZ(draw(st.integers(-3, 3)))
+        c = draw(scalars(ring, 3))
         return alg.pure(monomial(s1, m1), monomial(s2, m2)).scale(c)
 
     return homog(), homog(), homog()
