@@ -224,13 +224,9 @@ def parity_of_block_matrix(m) -> int | None:
 
 
 def span_coords(basis, m) -> list[Scalar] | None:
-    """Coordinates of `m` as a ring-linear combination of `basis`, or None."""
-    basis = list(basis)
-    if not basis:
-        raise ShapeError("empty basis")
-    for b in basis:
-        if b.dim != m.dim or b.algebra != m.algebra:
-            raise ShapeError("basis and target must match in shape and algebra")
+    """Coordinates of `m` as a ring-linear combination of `basis`, or None;
+    `SpanSolver` reads both and refuses a basis or target of another
+    length, ring or coefficient algebra."""
     return SpanSolver(basis, m.ring).solve(m)
 
 

@@ -331,15 +331,17 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
     Consistency on basis images is mandatory: form 1 requires star(rho) to
     be u*rho, form 2 requires u*bar(rho).  The entry involution itself is
     verified to be an order-2 anti-automorphism, which carries the same
-    properties to the lifted map, on ring generators x of A (E_(t,t+1),
-    E_(t+1,t), the e_k E_11 for Clifford entries, 1 when dim is 1) against
-    a module basis y.  That is exact when star is additive, as the signed
-    permutation star of a Suslin bed and the reversal are: the x with
-    star(xy) = star(y) star(x) for all y then form a subring, which holds
-    the generators and so all of A, and star^2, a ring map, is the identity
-    on it.  Finally the lift must negate every doubled image of a basis
-    vector.  Each lift is kept on `e` under its form; a rejected form is
-    not kept and raises again.
+    properties to the lifted map, on ring generators x of A against a
+    module basis y.  The generators are E_11, the e_k E_11 for Clifford
+    entries, and for dim d > 1 the cyclic shift P (P e_j = e_(j+1 mod d)):
+    every E_ij is P^a E_11 P^b for some a, b >= 0, as P^-1 = P^(d-1), and
+    the E_ij and e_k E_11 generate A.  That is exact when star is additive,
+    as the signed permutation star of a Suslin bed and the reversal are:
+    the x with star(xy) = star(y) star(x) for all y then form a subring,
+    which holds the generators and so all of A, and star^2, a ring map, is
+    the identity on it.  Finally the lift must negate every doubled image
+    of a basis vector.  Each lift is kept on `e` under its form; a rejected
+    form is not kept and raises again.
     """
     if e.a_star is None:
         raise InvolutionError("no entry involution available on the algebra")
@@ -363,8 +365,10 @@ def lift_involution(e: Embedding, form: InvolutionForm | None = None) -> LiftedI
 
     basis = algebra_basis(e.algebra, e.dim)
     d, k = e.dim, len(basis) // e.dim**2  # k entries per matrix position
-    gens = [basis[(i * d + j) * k] for t in range(d - 1) for i, j in ((t, t + 1), (t + 1, t))]
-    gens += [basis[1 << t] for t in range((k - 1).bit_length())] + (basis[:1] if d == 1 else [])
+    gens = [basis[0]] + [basis[1 << t] for t in range((k - 1).bit_length())]
+    if d > 1:
+        shift = [int(i == (j + 1) % d) for i in range(d) for j in range(d)]
+        gens.append(lift_scalar_matrix(ScalarMatrix(d, d, shift, e.ring), e.algebra))
     for x in gens:
         sx = star(x)
         if star(sx) != x:

@@ -682,79 +682,75 @@ def solve_in_ring(a: ScalarMatrix, b) -> list[Scalar] | None:
     b = list(b)
     if len(b) != a.rows:
         raise ShapeError("right-hand side length does not match row count")
-    columns = [ScalarMatrix(a.rows, 1, a.values[j :: a.cols], a.ring, a.den) for j in range(a.cols)]
-    return SpanSolver(columns, a.ring).solve(b)
+    return SpanSolver(a.transpose(), a.ring).solve(b)
 
 
 def rank_over_fractions(a) -> int:
-    """Rank over the fraction field of a ScalarMatrix over Z or Q, or of
-    the matrix whose rows are a list of vectors over Z or Q, each read by
-    `raw_row`; a vector over Z/m is refused, its ring read without boxing.
-    Elimination runs on each row cleared of its own least denominator,
-    which leaves the rank alone.  The rank is the number of +-1 pivots
-    taken first plus the Bareiss rank of the rows they leave (`_rank`)."""
-    matrix = isinstance(a, ScalarMatrix)
-    for v in [a] if matrix else a:
-        if isinstance(v.ring if hasattr(v, "ring") else v[0].ring, ModularRing):
-            raise RingError("rank over fractions is not defined for modular rings")
-    return _rank(a._elimination_rows()[0] if matrix else _raw_rows(a, QQ))
+    """Rank over the fraction field of vectors over Z or Q: `rank_in_ring`
+    over whichever of the two rings they are over.  Vectors over Z/m, or
+    over both Z and Q, are refused."""
+    for ring in (ZZ, QQ):
+        try:
+            return rank_in_ring(a, ring)
+        except RingError:
+            pass
+    raise RingError("rank over fractions needs vectors over one of Z and Q")
 
 
 def rank_in_ring(vectors, ring: Ring) -> int:
-    """McCoy's rank (Rings and Ideals, 1948) over `ring` of a ScalarMatrix
-    or of the rows of a list of vectors `raw_row` reads; rows are certified
-    independent when it equals their number.  Over Z and Q it is the rank
-    over Q; over Z/m the least rank mod a prime p | m, without factoring m.
-    Either is the number of unit pivots taken first plus the rank of the
-    rows they leave (`_rank`)."""
-    matrix = isinstance(vectors, ScalarMatrix)
-    for v in [vectors] if matrix else vectors:
-        _in_ring(v, ring, _algebra(v if matrix else vectors[0], ring))
-    if not isinstance(ring, ModularRing):
-        return rank_over_fractions(vectors)
-    rows = vectors._elimination_rows()[0] if matrix else _raw_rows(vectors, ring)
-    return _rank(rows, ring.modulus)
+    """McCoy's rank (Rings and Ideals, 1948) over `ring` of the vectors
+    `_rows` reads; they are certified independent when it equals their
+    number.  Over Z and Q it is the rank over Q; over Z/m the least rank
+    mod a prime p | m, without factoring m.  Either is the number of unit
+    pivots taken first plus the rank of the rows they leave (`_rank`)."""
+    return _rank(_rows(vectors, ring)[0], getattr(ring, "modulus", 0))
 
 
-def _in_ring(x, ring: Ring, algebra=None):
-    """`x`, refused with RingError unless it is a vector over `ring` and,
-    when `algebra` is given, over that coefficient algebra: where vectors
-    enter a solver or a rank, one identity check for a vector that carries
-    its ring (a matrix or a Clifford element), one per entry for a sequence
-    of Scalars."""
-    if x.ring is not ring if hasattr(x, "ring") else any(s.ring is not ring for s in x):
-        raise RingError(f"vector is not over {ring.name}")
-    if algebra is not None:
-        own = _algebra(x, ring)
-        if own is not algebra and own != algebra:
+def _rows(vectors, ring: Ring, algebra=None) -> tuple[list, list[int], object]:
+    """The vectors a solve, a rank or a unimodularity certificate takes, as
+    integer rows over their own least denominators, with the coefficient
+    algebra they share.  A ScalarMatrix gives its rows; a sequence gives
+    each vector as `raw_row` reads it.  The algebra is a vector's
+    `algebra`, a Clifford element's `space`, or `ring` for Scalars, and the
+    first vector fixes it unless `algebra` is given.  A vector or an entry
+    not over `ring` (a plain int is an entry of no ring) or not over that
+    algebra is refused with RingError; a Scalar in place of a vector, and
+    unequal lengths, with ShapeError."""
+    if isinstance(vectors, ScalarMatrix):
+        if vectors.ring is not ring:
+            raise RingError(f"vector is not over {ring.name}")
+        return (*vectors._elimination_rows(), ring)
+    rows, dens = [], []
+    for v in vectors:
+        if isinstance(v, Scalar):
+            raise ShapeError("a vector is a sequence of Scalars, not a Scalar")
+        if hasattr(v, "ring"):
+            if v.ring is not ring:
+                raise RingError(f"vector is not over {ring.name}")
+        elif any(getattr(s, "ring", None) is not ring for s in v):
+            raise RingError(f"vector is not over {ring.name}")
+        own = getattr(v, "algebra", None)
+        own = getattr(v, "space", ring) if own is None else own
+        if algebra is None:
+            algebra = own
+        elif own is not algebra and own != algebra:
             raise RingError("vectors have different coefficient algebras")
-    return x
-
-
-def _algebra(x, ring: Ring):
-    """The algebra a vector's coefficients are read in, which the first
-    vector fixes for the rest: a matrix's or a tensor element's `algebra`,
-    a Clifford element's `space`, and `ring` for a sequence of Scalars."""
-    algebra = getattr(x, "algebra", None)
-    return getattr(x, "space", ring) if algebra is None else algebra
-
-
-def _raw_rows(vectors, ring: Ring) -> list[list[int]]:
-    """The rows `raw_row` reads from `vectors`, which must share one length."""
-    rows = [list(raw_row(v, ring)[0]) for v in vectors]
-    if len(set(map(len, rows))) > 1:
-        raise ShapeError("vectors must have equal length")
-    return rows
+        row, den = raw_row(v, ring)
+        if rows and len(row) != len(rows[0]):
+            raise ShapeError("vectors must have equal length")
+        rows.append(row)
+        dens.append(den)
+    return rows, dens, algebra
 
 
 def is_unimodular(vectors) -> bool:
-    """Whether vectors over Z, read by `raw_row`, are the rows of a square
+    """Whether vectors over Z, read by `_rows`, are the rows of a square
     matrix of determinant +-1.  Unit pivots first (`_unit_pivots`): each
     +-1 pivot leaves |det| alone, so the rows they leave must be square
     over the columns they use, with a +-1 Bareiss determinant; a row they
     zero, or a column they leave unused, means det 0."""
-    rows = [list(raw_row(v, ZZ)[0]) for v in vectors]
-    if any(len(row) != len(rows) for row in rows):
+    rows = _rows(vectors, ZZ)[0]
+    if rows and len(rows[0]) != len(rows):
         return False
     rank, left = _unit_pivots(rows, 0)
     if len(left) != len(rows) - rank or any(len(row) != len(left) for row in left):
@@ -835,30 +831,28 @@ class SpanSolver:
     x_F must then make the pivot rows y - N x_F divisible by d, a system
     mod |d| solved on its Howell form.  Over Z/m a solve is a forward
     substitution along the Howell form of [A^T | I].  `rank` counts pivots:
-    over Z and Q, the rank over the fraction field.  A vector is anything
-    `raw_row` reads: Scalars, or a matrix in row-major order."""
+    over Z and Q, the rank over the fraction field.  Spanning vectors and
+    targets are read by `_rows`: the rows of a ScalarMatrix, or vectors
+    `raw_row` reads, refused with RingError off `ring` or off the first
+    vector's coefficient algebra, and with ShapeError at unequal lengths."""
 
     def __init__(self, columns, ring: Ring):
-        columns = list(columns)
-        if not columns:
+        cols, scales, self._algebra = _rows(columns, ring)
+        if not cols:
             raise ShapeError("need at least one spanning vector")
-        self._algebra = _algebra(columns[0], ring)
-        cols = [raw_row(_in_ring(col, ring, self._algebra), ring) for col in columns]
-        if len({len(col) for col, _ in cols}) > 1:
-            raise ShapeError("spanning vectors must have equal length")
         self.ring = ring
-        self.n = n = len(cols[0][0])
+        self.n = n = len(cols[0])
         self.k = len(cols)
         self.pivots = []
         if isinstance(ring, ModularRing):
             self._rows = [
-                list(col) + [int(i == j) for j in range(self.k)] for i, (col, _) in enumerate(cols)
+                list(col) + [int(i == j) for j in range(self.k)] for i, col in enumerate(cols)
             ]
             self.pivots = _echelon(self._rows, n, ring.modulus)
             return
-        self._scales = [den for _, den in cols]
+        self._scales = scales
         self._rows = [
-            [int(i == j) for j in range(n)] + [col[i] for col, _ in cols]
+            [int(i == j) for j in range(n)] + [col[i] for col in cols]
             for i in range(n)
         ]
         self._d, _ = _bareiss(self._rows, range(n, n + self.k), self.pivots)
@@ -874,7 +868,7 @@ class SpanSolver:
         return [sum(map(mul, map(row.__getitem__, nz), vs)) for row in self._rows]
 
     def solve(self, target) -> list[Scalar] | None:
-        b, den = raw_row(_in_ring(target, self.ring, self._algebra), self.ring)
+        (b,), (den,), _ = _rows([target], self.ring, self._algebra)
         if len(b) != self.n:
             raise ShapeError("vector length does not match span vectors")
         ring, r = self.ring, self.rank

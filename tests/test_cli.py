@@ -543,15 +543,18 @@ def test_cli_entry_point_subprocess():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Both cost a cold start milliseconds the CLI has no use for."""
-    code = (
-        "import sys; before = set(sys.modules); import quadembed.cli; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=PACKAGE_ROOT, check=True
-    )
-    loaded = set(proc.stdout.split())
+    """A fresh interpreter that imports the CLI loads, beyond what a bare
+    interpreter loads, neither module: both cost a cold start milliseconds
+    the CLI has no use for."""
+
+    def modules(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+            capture_output=True, text=True, cwd=PACKAGE_ROOT, check=True,
+        )
+        return set(proc.stdout.split())
+
+    loaded = modules("import quadembed.cli; ") - modules("")
     assert "quadembed.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
 

@@ -23,7 +23,7 @@ from quadembed.embedding import (
     validate_embedding,
 )
 from quadembed.qspace import QuadraticSpace, diagonal_space, hyperbolic
-from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod
+from quadembed.scalars import QQ, RingError, ScalarMatrix, ShapeError, ZZ, Zmod
 from quadembed.suslin import suslin_embedding
 
 
@@ -50,6 +50,29 @@ def test_validate_suslin_and_self_embeddings():
     assert validate_embedding(suslin_embedding(2, ZZ)).passed
     assert validate_embedding(suslin_embedding(3, ZZ)).passed
     assert validate_embedding(clifford_self_embedding(hyperbolic(2, ZZ))).passed
+
+
+def test_the_constructor_refuses_each_inconsistent_field():
+    """One refusal per field, each on the rank-4 Suslin bed over Z with that
+    field spoiled: the image count, an image's dimension, an image over
+    another algebra, images over another base ring, the bar matrix's shape
+    and its ring."""
+    e = suslin_embedding(2, ZZ)
+    rho, rank = list(e.rho), e.space.rank
+    over_q = [ScalarMatrix(m.rows, m.cols, m.values, QQ) for m in rho]
+    cases = [
+        (ShapeError, "one image per basis vector", {"rho": rho[1:]}),
+        (ShapeError, "declared dimension", {"rho": rho[1:] + [ScalarMatrix.identity(e.dim + 1, ZZ)]}),
+        (RingError, "share the coefficient algebra", {"rho": rho[1:] + over_q[:1]}),
+        (RingError, "share the base ring", {"algebra": QQ, "rho": over_q}),
+        (ShapeError, "rank x rank", {"alpha": ScalarMatrix.identity(rank + 1, ZZ)}),
+        (RingError, "live in the base ring", {"alpha": ScalarMatrix.identity(rank, QQ)}),
+    ]
+    for error, message, spoiled in cases:
+        fields = {"space": e.space, "algebra": e.algebra, "dim": e.dim, "rho": rho, "alpha": e.alpha}
+        with pytest.raises(error, match=message):
+            Embedding(**{**fields, **spoiled})
+    assert Embedding(e.space, e.algebra, e.dim, rho, e.alpha).rho == e.rho
 
 
 def test_validate_rejects_zero_alpha():

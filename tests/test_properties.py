@@ -1,8 +1,13 @@
 """Hypothesis-driven algebraic laws, complementing the seeded suites with
 shrinking counterexamples should anything regress."""
 
+import importlib.util
+import math
 from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +21,19 @@ from quadembed.clifford import (
     standard_involution,
 )
 from quadembed.qspace import QuadraticSpace
-from quadembed.scalars import QQ, ScalarMatrix, ZZ, Zmod
+from quadembed.scalars import (
+    QQ,
+    RingError,
+    ScalarMatrix,
+    ShapeError,
+    SpanSolver,
+    ZZ,
+    Zmod,
+    is_unimodular,
+    rank_in_ring,
+    rank_over_fractions,
+    solve_in_ring,
+)
 
 
 RINGS = (ZZ, QQ, Zmod(2), Zmod(6))
@@ -135,3 +152,181 @@ def test_tensor_parity_adds(triple):
     prod = a * b
     if pa is not None and pb is not None and prod.terms:
         assert prod.parity() == (pa + pb) % 2
+
+
+# -- the certificates' linear algebra against the benchmark's oracles ----------
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracles", Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+)
+ORACLES = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ORACLES)
+
+CERTIFICATE_RINGS = (ZZ, QQ, Zmod(2), Zmod(4), Zmod(6), Zmod(12))
+EXHAUSTIVE_LIMIT = 4096  # largest m**k searched over (Z/m)^k
+
+
+def modulus(ring) -> int:
+    return getattr(ring, "modulus", 0)
+
+
+def raw_entries(ring, count):
+    """Raw entries rich in 0 and +-1: ints, Fractions over Q, residues mod m."""
+    entry = st.sampled_from((0, 0, 1, -1, 2, -2, 3))
+    if ring is QQ:
+        entry = st.builds(Fraction, entry, st.sampled_from((1, 1, 2, 3)))
+    elif modulus(ring):
+        entry = entry.map(lambda x: x % modulus(ring))
+    return st.lists(entry, min_size=count, max_size=count)
+
+
+@st.composite
+def vector_families(draw, rings=CERTIFICATE_RINGS, max_vectors=4, max_length=4, square=False):
+    """(ring, raw rows, the rows as the certificates take them): lists of
+    Scalars, one-row ScalarMatrices, or the rows of one ScalarMatrix."""
+    ring = draw(st.sampled_from(rings))
+    count = draw(st.integers(1, max_vectors))
+    length = count if square else draw(st.integers(0, max_length))
+    rows = [draw(raw_entries(ring, length)) for _ in range(count)]
+    boxed = [[ring(x) for x in row] for row in rows]
+    form = draw(st.sampled_from(("scalars", "row matrices", "matrix") if length else ("scalars",)))
+    if form == "matrix":
+        return ring, rows, ScalarMatrix.from_rows(boxed)
+    if form == "row matrices":
+        return ring, rows, [ScalarMatrix.from_rows([row]) for row in boxed]
+    return ring, rows, boxed
+
+
+def mccoy_rank(rows, m: int) -> int:
+    """McCoy's rank by the oracle's determinants: the largest t whose t x t
+    minors generate the unit ideal of Z/m, or over Z and Q (m = 0) include
+    a non-zero one."""
+    rank = 0
+    for t in range(1, min(len(rows), len(rows[0])) + 1):
+        minors = [
+            ORACLES.det([[rows[i][j] for j in js] for i in its])
+            for its in combinations(range(len(rows)), t)
+            for js in combinations(range(len(rows[0])), t)
+        ]
+        if not (math.gcd(m, *map(int, minors)) == 1 if m else any(minors)):
+            break
+        rank = t
+    return rank
+
+
+def combination(coefficients, vectors, m: int) -> list:
+    """sum_j c_j v_j over raw entries, reduced mod m when m > 0."""
+    out = [sum(c * v[i] for c, v in zip(coefficients, vectors)) for i in range(len(vectors[0]))]
+    return [x % m for x in out] if m else out
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_families())
+def test_rank_in_ring_is_mccoys_rank(family):
+    ring, rows, vectors = family
+    m = modulus(ring)
+    rank = rank_in_ring(vectors, ring)
+    assert rank == mccoy_rank(rows, m)
+    if not m:
+        assert rank == ORACLES.rank(rows) == rank_over_fractions(vectors)
+        return
+    if rows[0]:  # a vector with no entries is over every ring
+        with pytest.raises(RingError):
+            rank_over_fractions(vectors)
+    if m ** len(rows) <= EXHAUSTIVE_LIMIT:
+        # McCoy: the rows are independent exactly when no non-zero
+        # combination of them vanishes
+        dependent = any(
+            any(xs) and not any(combination(xs, rows, m))
+            for xs in product(range(m), repeat=len(rows))
+        )
+        assert (rank == len(rows)) is not dependent
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_families(rings=(ZZ,), square=True) | vector_families(rings=CERTIFICATE_RINGS[1:]))
+def test_is_unimodular_is_a_determinant_of_one_over_z(family):
+    ring, rows, vectors = family
+    if ring is not ZZ:
+        if rows[0]:  # a vector with no entries is over every ring
+            with pytest.raises(RingError):
+                is_unimodular(vectors)
+        return
+    assert is_unimodular(vectors) is (abs(ORACLES.det(rows)) == 1)
+
+
+@st.composite
+def span_problems(draw):
+    """Spanning vectors and a raw target, drawn inside their span or not."""
+    ring, cols, vectors = draw(vector_families(max_vectors=3))
+    if draw(st.booleans()):
+        target = combination(draw(raw_entries(ring, len(cols))), cols, modulus(ring))
+        return ring, cols, vectors, target, True
+    return ring, cols, vectors, draw(raw_entries(ring, len(cols[0]))), False
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_problems())
+def test_span_solver_solves_exactly_when_a_solution_exists(problem):
+    ring, cols, vectors, target, inside = problem
+    m, k = modulus(ring), len(cols)
+    boxed = [ring(x) for x in target]
+    x = SpanSolver(vectors, ring).solve(boxed)
+    if x is not None:
+        assert all(s.ring is ring for s in x)
+        assert combination([s.value for s in x], cols, m) == target
+    if m and m**k <= EXHAUSTIVE_LIMIT:
+        exists = any(combination(xs, cols, m) == target for xs in product(range(m), repeat=k))
+        assert (x is not None) is exists
+    elif ring is QQ:
+        assert (x is not None) is (ORACLES.rank(cols) == ORACLES.rank(cols + [target]))
+    if inside:
+        assert x is not None
+    if target:
+        a = ScalarMatrix.from_rows([[ring(col[i]) for col in cols] for i in range(len(target))])
+        assert solve_in_ring(a, boxed) == x
+
+
+@st.composite
+def spoiled_families(draw):
+    """Vectors as lists of Scalars, a copy with one vector spoiled, and the
+    error the spoiling must raise: an entry that is a plain int, an entry
+    or a whole vector over another ring, or one entry too many."""
+    ring, _, vectors = draw(vector_families(max_vectors=3).filter(lambda f: isinstance(f[2], list)))
+    vectors = [list(v) if isinstance(v, list) else v.flatten() for v in vectors]
+    other = draw(st.sampled_from([r for r in CERTIFICATE_RINGS if r is not ring]))
+    i = draw(st.integers(0, len(vectors) - 1))
+    spoil = draw(st.sampled_from(("int", "entry", "vector", "length")))
+    spoiled = [list(v) for v in vectors]
+    if spoil == "length":
+        spoiled[i].append(ring(0))
+        return vectors, spoiled, i, ring, ShapeError
+    if spoil == "vector":
+        spoiled[i] = ScalarMatrix.from_rows([[other(1)] * max(1, len(spoiled[i]))])
+    else:
+        bad = 1 if spoil == "int" else other(1)
+        at = draw(st.integers(0, max(0, len(spoiled[i]) - 1)))
+        spoiled[i][at : at + 1] = [bad]  # replaces entry `at`, or fills an empty vector
+    return vectors, spoiled, i, ring, RingError
+
+
+@settings(max_examples=100, deadline=None)
+@given(spoiled_families())
+def test_certificates_refuse_a_spoiled_vector_with_the_package_errors(case):
+    vectors, spoiled, i, ring, error = case
+    with pytest.raises(error):
+        SpanSolver(vectors, ring).solve(spoiled[i])
+    if error is ShapeError and len(vectors) == 1:
+        return  # one vector of any length is a family of equal lengths
+    with pytest.raises(error):
+        rank_in_ring(spoiled, ring)
+    with pytest.raises(error):
+        SpanSolver(spoiled, ring)
+    # these two take no ring (is_unimodular reads over Z, rank_over_fractions
+    # over Z or Q), so a spoiled family may be sound for them: either answers
+    # or refuses it
+    for certificate in (is_unimodular, rank_over_fractions):
+        try:
+            certificate(spoiled)
+        except (RingError, ShapeError):
+            pass

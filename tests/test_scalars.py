@@ -226,6 +226,9 @@ def test_rank_over_fractions_refuses_modular_vectors():
         rank_over_fractions(rows)  # ranking the residues over Q would give 2
     with pytest.raises(RingError):
         rank_over_fractions([ints(z6, [2, 3]), ints(z6, [4, 0])])
+    # the rank is taken over the input's own ring, so Z and Q vectors do not mix
+    with pytest.raises(RingError):
+        rank_over_fractions([ints(ZZ, [1, 2]), ints(QQ, [2, 4])])
 
 
 def test_vectors_of_another_ring_are_refused():
@@ -241,10 +244,27 @@ def test_vectors_of_another_ring_are_refused():
         lambda: rank_in_ring(ScalarMatrix.identity(2, ZZ), QQ),
         lambda: SpanSolver([ScalarMatrix.identity(2, Zmod(6))], ZZ),
         lambda: solve_in_ring(ScalarMatrix.identity(1, QQ), [ZZ(1)]),
+        # a Q row's denominator was dropped, so [1/2] read as unimodular
+        lambda: is_unimodular([ScalarMatrix.from_rows([[half]])]),
+        lambda: is_unimodular([[half]]),
+        lambda: is_unimodular([[Zmod(5)(4)]]),
+        # a plain int is an entry of no ring
+        lambda: is_unimodular([[1]]),
+        lambda: rank_in_ring([[1, 2]], ZZ),
+        lambda: rank_in_ring([[ZZ(1), 2]], ZZ),
+        lambda: SpanSolver([[1]], QQ),
+        lambda: SpanSolver([[ZZ(1)]], ZZ).solve([1]),
     ]
     for call in calls:
         with pytest.raises(RingError, match="not over"):
             call()
+    with pytest.raises(RingError):
+        rank_over_fractions([[1, 2]])
+    # zero-length vectors have rank 0, however many
+    for vectors in ([[]], [[], []]):
+        assert rank_over_fractions(vectors) == 0
+        for ring in (ZZ, QQ, Zmod(6)):
+            assert rank_in_ring(vectors, ring) == 0
 
 
 def test_vectors_of_unequal_length_are_refused():
@@ -260,6 +280,12 @@ def test_vectors_of_unequal_length_are_refused():
             if ring in (ZZ, QQ):
                 with pytest.raises(ShapeError, match="equal length"):
                     rank_over_fractions(vectors)
+        # a Scalar where a vector belongs had raised TypeError
+        for call in (rank_in_ring, SpanSolver):
+            with pytest.raises(ShapeError, match="not a Scalar"):
+                call(short, ring)
+        with pytest.raises(ShapeError, match="not a Scalar"):
+            SpanSolver([short], ring).solve(ring(1))
 
 
 def test_unit_pivots_first_matches_the_rank_oracles():
