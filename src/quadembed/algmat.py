@@ -129,13 +129,6 @@ class AlgMatrix:
     def scale(self, s: Scalar) -> "AlgMatrix":
         return AlgMatrix(self.algebra, [[a.scale(s) for a in row] for row in self.entries])
 
-    def transpose(self) -> "AlgMatrix":
-        # plain transpose: no entry involution is applied
-        return AlgMatrix(
-            self.algebra,
-            [[self.entries[j][i] for j in range(self.dim)] for i in range(self.dim)],
-        )
-
     def __eq__(self, other):
         if not isinstance(other, AlgMatrix):
             return NotImplemented

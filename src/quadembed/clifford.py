@@ -26,53 +26,66 @@ class CliffordRelationError(ValueError):
         self.pair = (i, j)
 
 
-class CliffordElement:
-    """An element of Cl(V, q), stored as mask -> coefficient."""
+class _TermMap:
+    """A finitely supported map key -> non-zero scalar over an owner, a
+    Clifford space or a tensor algebra, whose `ring` holds the scalars.
 
-    __slots__ = ("space", "terms")
+    A subclass declares the owner and `terms` slots, aliases the owner's
+    slot descriptor as `_owner`, names its `_mismatch` error and gives
+    `_product`, the raw kernel on {key: int or Fraction} maps."""
 
-    def __init__(self, space: QuadraticSpace, terms: dict):
-        self.space = space
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero}
+    __slots__ = ()
 
-    def _check(self, other: "CliffordElement"):
-        if self.space != other.space:
-            raise ShapeError("elements live in different Clifford algebras")
+    def __init__(self, owner, terms: dict):
+        self._owner = owner
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero}
+
+    def _check(self, other):
+        if self._owner is not other._owner and self._owner != other._owner:
+            raise ShapeError(self._mismatch)
 
     def __add__(self, other):
         self._check(other)
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            _bump(acc, m, c)
-        return CliffordElement(self.space, acc)
+        for k, c in other.terms.items():
+            cur = acc.get(k)
+            acc[k] = c if cur is None else cur + c
+        return type(self)(self._owner, acc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return CliffordElement(self.space, {m: -c for m, c in self.terms.items()})
+        return type(self)(self._owner, {k: -c for k, c in self.terms.items()})
 
-    def scale(self, s: Scalar) -> "CliffordElement":
-        return CliffordElement(self.space, {m: s * c for m, c in self.terms.items()})
+    def scale(self, s: Scalar):
+        return type(self)(self._owner, {k: s * c for k, c in self.terms.items()})
+
+    def _raw(self) -> tuple[dict, int]:
+        """The terms as raw values over one denominator: integers over Q."""
+        vals, den = raw_row(self.terms.values(), self._owner.ring)
+        return dict(zip(self.terms, vals)), den
+
+    def _box(self, raw: dict, den: int = 1):
+        """The element of raw values over `den`, each boxed once."""
+        ring = self._owner.ring
+        boxed = {k: ring(v if den == 1 else Fraction(v, den)) for k, v in raw.items() if v}
+        return type(self)(self._owner, boxed)
 
     def __mul__(self, other):
-        if not isinstance(other, CliffordElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other)
-        ring = self.space.ring
-        # over Q, both factors become integers over one denominator each
-        va, da = raw_row(self.terms.values(), ring)
-        vb, db = raw_row(other.terms.values(), ring)
-        acc = _horner(self.space, dict(zip(self.terms, va)), dict(zip(other.terms, vb)))
-        return CliffordElement(self.space, _boxed(ring, acc, da * db))
+        (x, da), (y, db) = self._raw(), other._raw()
+        return self._box(self._product(x, y), da * db)
 
     def __eq__(self, other):
-        if not isinstance(other, CliffordElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self.space == other.space and self.terms == other.terms
+        return self._owner == other._owner and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
+        return hash((self._owner, frozenset(self.terms.items())))
 
     @property
     def is_zero(self) -> bool:
@@ -80,7 +93,18 @@ class CliffordElement:
 
     @property
     def ring(self):
-        return self.space.ring
+        return self._owner.ring
+
+
+class CliffordElement(_TermMap):
+    """An element of Cl(V, q), stored as mask -> coefficient."""
+
+    __slots__ = ("space", "terms")
+    _mismatch = "elements live in different Clifford algebras"
+    __mul__ = _TermMap.__mul__  # its own entry, which bench/tracer.py wraps
+
+    def _product(self, x: dict, y: dict) -> dict:
+        return _horner(self.space, x, y)
 
     def coefficients(self) -> list[Scalar]:
         """Dense coordinate vector over the monomial basis, mask order."""
@@ -92,12 +116,8 @@ class CliffordElement:
         return [self.terms[m].value if m in self.terms else 0 for m in range(1 << self.space.rank)]
 
     def to_json(self):
-        return {
-            "space": self.space.to_json(),
-            "terms": [
-                {"mask": m, "coeff": str(c)} for m, c in sorted(self.terms.items())
-            ],
-        }
+        terms = [{"mask": m, "coeff": str(c)} for m, c in sorted(self.terms.items())]
+        return {"space": self.space.to_json(), "terms": terms}
 
     def __repr__(self):
         parts = (
@@ -107,9 +127,7 @@ class CliffordElement:
         return " + ".join(parts) or "0"
 
 
-def _bump(acc: dict, key, c):
-    cur = acc.get(key)
-    acc[key] = c if cur is None else cur + c
+CliffordElement._owner = CliffordElement.space  # the same slot, read by _TermMap
 
 
 def _gen_action(space: QuadraticSpace, i: int, mask: int):
@@ -181,11 +199,6 @@ def _horner(space: QuadraticSpace, x: dict, y: dict, reverse: bool = False) -> d
     return acc
 
 
-def _boxed(ring, raw: dict, den: int = 1) -> dict:
-    """Each raw value over `den`, boxed once."""
-    return {m: ring(v if den == 1 else Fraction(v, den)) for m, v in raw.items() if v}
-
-
 def cl_zero(space: QuadraticSpace) -> CliffordElement:
     return CliffordElement(space, {})
 
@@ -228,10 +241,9 @@ def is_homogeneous(a: CliffordElement) -> int | None:
 def standard_involution(a: CliffordElement) -> CliffordElement:
     """The anti-automorphism extending v -> -v on vectors: each monomial's
     generators multiplied in reverse order, times (-1)^grade."""
-    vals, den = raw_row(a.terms.values(), a.space.ring)
-    signed = {m: -v if bin(m).count("1") % 2 else v for m, v in zip(a.terms, vals)}
-    acc = _horner(a.space, signed, {0: 1}, reverse=True)
-    return CliffordElement(a.space, _boxed(a.space.ring, acc, den))
+    raw, den = a._raw()
+    signed = {m: -v if bin(m).count("1") % 2 else v for m, v in raw.items()}
+    return a._box(_horner(a.space, signed, {0: 1}, reverse=True), den)
 
 
 def pbw_basis(space: QuadraticSpace) -> list[CliffordElement]:
@@ -319,66 +331,26 @@ def extend_universal(space: QuadraticSpace, images, one) -> UniversalMap:
     return UniversalMap(space, images, one)
 
 
-class GradedTensorElement:
+class GradedTensorElement(_TermMap):
     """Element of the graded tensor product of two Clifford algebras."""
 
     __slots__ = ("algebra", "terms")
+    _mismatch = "elements live in different tensor algebras"
 
-    def __init__(self, algebra: "GradedTensorAlgebra", terms: dict):
-        self.algebra = algebra
-        self.terms = {mm: c for mm, c in terms.items() if not c.is_zero}
-
-    def _check(self, other):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise ShapeError("elements live in different tensor algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        acc = dict(self.terms)
-        for mm, c in other.terms.items():
-            _bump(acc, mm, c)
-        return GradedTensorElement(self.algebra, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GradedTensorElement(self.algebra, {mm: -c for mm, c in self.terms.items()})
-
-    def scale(self, s: Scalar):
-        return GradedTensorElement(self.algebra, {mm: s * c for mm, c in self.terms.items()})
-
-    @property
-    def ring(self):
-        return self.algebra.ring
-
-    def __mul__(self, other):
-        if not isinstance(other, GradedTensorElement):
-            return NotImplemented
-        self._check(other)
+    def _product(self, x: dict, y: dict) -> dict:
+        """The Koszul sign rule on (left mask, right mask) keys:
+        (a1 (x) b1)(a2 (x) b2) = (-1)^(|b1| |a2|) a1 a2 (x) b1 b2."""
         s1, s2 = self.algebra.left_space, self.algebra.right_space
-        va, da = raw_row(self.terms.values(), self.algebra.ring)
-        vb, db = raw_row(other.terms.values(), self.algebra.ring)
         acc: dict = {}
-        for (a1, b1), v1 in zip(self.terms, va):
+        for (a1, b1), v1 in x.items():
             deg = bin(b1).count("1")
-            for (a2, b2), v2 in zip(other.terms, vb):
-                coeff = v1 * v2
-                if deg * bin(a2).count("1") % 2:
-                    coeff = -coeff
+            for (a2, b2), v2 in y.items():
+                coeff = -v1 * v2 if deg * bin(a2).count("1") % 2 else v1 * v2
                 right = _horner(s2, {b1: 1}, {b2: 1})
                 for ma, ca in _horner(s1, {a1: 1}, {a2: 1}).items():
                     for mb, cb in right.items():
-                        _bump(acc, (ma, mb), coeff * ca * cb)
-        return GradedTensorElement(self.algebra, _boxed(self.algebra.ring, acc, da * db))
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedTensorElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.algebra, frozenset(self.terms.items())))
+                        acc[ma, mb] = acc.get((ma, mb), 0) + coeff * ca * cb
+        return acc
 
     def parity(self) -> int | None:
         ps = {(bin(a).count("1") + bin(b).count("1")) % 2 for a, b in self.terms}
@@ -391,6 +363,9 @@ class GradedTensorElement:
         for (a, b), c in self.terms.items():
             out[(a << n2) | b] = c.value
         return out
+
+
+GradedTensorElement._owner = GradedTensorElement.algebra
 
 
 class GradedTensorAlgebra:

@@ -856,6 +856,15 @@ class SpanSolver:
             for i in range(n)
         ]
         self._d, _ = _bareiss(self._rows, range(n, n + self.k), self.pivots)
+        if ring is ZZ:
+            # the free columns and the Howell form of their pivot rows mod |d|
+            r, m = self.rank, abs(self._d)
+            self._free = free = [j for j in range(n, n + self.k) if j not in self.pivots]
+            self._mod_rows = [
+                [row[j] % m for row in self._rows[:r]] + [int(i == f) for f in range(len(free))]
+                for i, j in enumerate(free)
+            ]
+            self._mod_pivots = _echelon(self._mod_rows, r, m)
 
     @property
     def rank(self) -> int:
@@ -881,13 +890,8 @@ class SpanSolver:
         x = [0] * self.k
         den *= self._d  # x is held as integers over den
         if ring is ZZ:
-            m = abs(self._d)
-            free = [j for j in range(self.n, self.n + self.k) if j not in self.pivots]
-            rows = [
-                [row[j] % m for row in self._rows[:r]] + [int(i == f) for f in range(len(free))]
-                for i, j in enumerate(free)
-            ]
-            xf = _howell_solve(rows, _echelon(rows, r, m), m, ys[:r], len(free))
+            free = self._free
+            xf = _howell_solve(self._mod_rows, self._mod_pivots, abs(self._d), ys[:r], len(free))
             if xf is None:
                 return None
             for j, v in zip(free, xf):

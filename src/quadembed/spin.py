@@ -19,6 +19,8 @@ from .scalars import Scalar, ScalarMatrix, ShapeError, SpanSolver, _Value, rank_
 
 # Lemma 4.1's draws of a vector independent of the unit before it gives up.
 _INDEPENDENT_DRAWS = 100
+# The most elementary factors in one sampled product.
+_MAX_FACTORS = 6
 
 
 class SpinError(ValueError):
@@ -188,10 +190,10 @@ class SpinContext:
         unit = ScalarMatrix(dim, dim, [int(k == i * dim + j) for k in range(dim * dim)], self.ring)
         return ScalarMatrix.identity(dim, self.ring) + unit.scale(t)
 
-    def sample_elementary_product(self, rng: random.Random, max_factors: int = 6) -> ScalarMatrix:
+    def sample_elementary_product(self, rng: random.Random) -> ScalarMatrix:
         dim = self.embedding.dim
         out = ScalarMatrix.identity(dim, self.ring)
-        for _ in range(rng.randint(1, max_factors)):
+        for _ in range(rng.randint(1, _MAX_FACTORS)):
             i = rng.randrange(dim)
             j = rng.randrange(dim)
             while j == i:

@@ -76,16 +76,6 @@ class SuiteConfig:
         return SpinContext(self.suslin_bed(3))
 
 
-class CheckResult:
-    __slots__ = ("name", "passed", "failures", "info")
-
-    def __init__(self, name: str, passed: bool, failures: list, info: dict):
-        self.name, self.passed, self.failures, self.info = name, passed, failures, info
-
-    def to_json(self):
-        return {"name": self.name, "passed": self.passed, "failures": self.failures, "info": self.info}
-
-
 _CHECKS = {suite: [] for suite in SUITES}
 
 
@@ -518,14 +508,14 @@ def run_suite(cfg: SuiteConfig) -> dict:
     for name, key, fn in _CHECKS[cfg.suite]:
         failures = []
         info = fn(cfg, random.Random(f"{cfg.seed}:{cfg.suite}:{key}"), failures)
-        checks.append(CheckResult(name, not failures, failures, info or {}))
+        checks.append({"name": name, "passed": not failures, "failures": failures, "info": info or {}})
     return {
         "suite": cfg.suite,
         "seed": cfg.seed,
         "samples": cfg.samples,
         "ring": cfg.ring.name,
-        "checks": [c.to_json() for c in checks],
-        "passed": all(c.passed for c in checks),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
     }
 
 

@@ -24,7 +24,7 @@ from quadembed.clifford import (
     standard_involution,
 )
 from quadembed.qspace import QuadraticSpace, diagonal_space, hyperbolic
-from quadembed.scalars import QQ, ScalarMatrix, ShapeError, ZZ, Zmod
+from quadembed.scalars import QQ, RingError, ScalarMatrix, ShapeError, ZZ, Zmod
 
 
 def rand_space(rng, ring, rank, bound=3):
@@ -368,6 +368,40 @@ def test_extend_universal_rejects_bad_images():
     with pytest.raises(CliffordRelationError) as exc:
         extend_universal(h, [cl_one(h), monomial(h, 2)], cl_one(h))
     assert exc.value.pair == (0, 0)
+
+
+def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
+    """Each refusal raises its package error; a tensor element subtracts as
+    a + (-b), and equal ones built over equal algebras hash alike."""
+    h, d = hyperbolic(1, ZZ), diagonal_space([1], ZZ)
+    e1, e2, f = monomial(h, 1), monomial(h, 2), monomial(d, 1)
+    alg, flipped = GradedTensorAlgebra(h, d), GradedTensorAlgebra(d, h)
+    phi = extend_universal(h, [e1, e2], cl_one(h))
+    refusals = [
+        (ShapeError, lambda: cl_one(h) + cl_one(d)),
+        (ShapeError, lambda: alg.one() + flipped.one()),
+        (ShapeError, lambda: alg.one() * flipped.one()),
+        (ShapeError, lambda: monomial(h, 4)),
+        (ShapeError, lambda: phi(f)),
+        (ShapeError, lambda: extend_universal(h, [e1], cl_one(h))),
+        (RingError, lambda: GradedTensorAlgebra(h, hyperbolic(1, QQ))),
+    ]
+    for error, call in refusals:
+        with pytest.raises(error):
+            call()
+    with pytest.raises(CliffordRelationError) as exc:
+        extend_universal(h, [e1, e1], cl_one(h))
+    assert exc.value.pair == (0, 1)
+
+    a = alg.pure(e1, f) + alg.one().scale(ZZ(3))
+    b = alg.left(e2).scale(ZZ(-2)) + alg.right(f)
+    assert a - b == a + (-b) and (a - b) + b == a and (a - a).is_zero
+    twin_alg = GradedTensorAlgebra(hyperbolic(1, ZZ), diagonal_space([1], ZZ))
+    twin = GradedTensorElement(twin_alg, a.terms)
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert len({a, twin, b}) == 2 and a.ring is ZZ
+    for x in (a, e1):
+        assert not hasattr(x, "__dict__")
 
 
 def test_graded_tensor_sign_rule():

@@ -650,6 +650,22 @@ def test_span_solver_z_answers_survive_the_carried_sign(monkeypatch):
         assert [solver.solve(t) for t in targets] == got
 
 
+def test_span_solver_z_solves_run_no_echelon(monkeypatch):
+    """Over Z the Howell form of the free columns mod |d| depends on the span
+    alone: the solver builds it once, and a solve runs no `_echelon`."""
+    import quadembed.scalars as scalars
+
+    a = ScalarMatrix.of_ints(ZZ, [[2, 4, 3], [0, 6, 3]])
+    solver = SpanSolver([a.col(j) for j in range(a.cols)], ZZ)
+    calls, real = [], scalars._echelon
+    monkeypatch.setattr(scalars, "_echelon", lambda *args: calls.append(args) or real(*args))
+    for x in ([1, -1, 1], [0, 2, -3], [5, 0, 0]):
+        b = a.apply(ints(ZZ, x))
+        assert a.apply(solver.solve(b)) == b
+    assert solver.solve(ints(ZZ, [1, 0])) is None
+    assert calls == []
+
+
 def test_shape_errors():
     a = ScalarMatrix.of_ints(ZZ, [[1, 2]])
     with pytest.raises(ShapeError):
