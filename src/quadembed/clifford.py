@@ -32,13 +32,25 @@ class _TermMap:
 
     A subclass declares the owner and `terms` slots, aliases the owner's
     slot descriptor as `_owner`, names its `_mismatch` error and gives
-    `_product`, the raw kernel on {key: int or Fraction} maps."""
+    `_check_key` and `_product`, the raw kernel on {key: int or Fraction}
+    maps.  The constructor checks every key and coefficient; `_new` builds
+    the results of `+`, `-`, `scale` and `*` from checked terms unchecked."""
 
     __slots__ = ()
 
     def __init__(self, owner, terms: dict):
+        ring = owner.ring
+        for k, c in terms.items():
+            if not isinstance(c, Scalar) or c.ring is not ring:
+                raise RingError(f"coefficient {c!r} at {k!r} is not an element of {ring}")
+            self._check_key(owner, k)
         self._owner = owner
         self.terms = {k: c for k, c in terms.items() if not c.is_zero}
+
+    def _new(self, terms: dict):
+        out = object.__new__(type(self))
+        out._owner, out.terms = self._owner, {k: c for k, c in terms.items() if not c.is_zero}
+        return out
 
     def _check(self, other):
         if self._owner is not other._owner and self._owner != other._owner:
@@ -50,16 +62,16 @@ class _TermMap:
         for k, c in other.terms.items():
             cur = acc.get(k)
             acc[k] = c if cur is None else cur + c
-        return type(self)(self._owner, acc)
+        return self._new(acc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self._owner, {k: -c for k, c in self.terms.items()})
+        return self._new({k: -c for k, c in self.terms.items()})
 
     def scale(self, s: Scalar):
-        return type(self)(self._owner, {k: s * c for k, c in self.terms.items()})
+        return self._new({k: s * c for k, c in self.terms.items()})
 
     def _raw(self) -> tuple[dict, int]:
         """The terms as raw values over one denominator: integers over Q."""
@@ -70,7 +82,7 @@ class _TermMap:
         """The element of raw values over `den`, each boxed once."""
         ring = self._owner.ring
         boxed = {k: ring(v if den == 1 else Fraction(v, den)) for k, v in raw.items() if v}
-        return type(self)(self._owner, boxed)
+        return self._new(boxed)
 
     def __mul__(self, other):
         if not isinstance(other, type(self)):
@@ -102,6 +114,11 @@ class CliffordElement(_TermMap):
     __slots__ = ("space", "terms")
     _mismatch = "elements live in different Clifford algebras"
     __mul__ = _TermMap.__mul__  # its own entry, which bench/tracer.py wraps
+
+    @staticmethod
+    def _check_key(space, mask):
+        if not (isinstance(mask, int) and 0 <= mask < 1 << space.rank):
+            raise ShapeError(f"mask {mask} is outside 0..{(1 << space.rank) - 1}")
 
     def _product(self, x: dict, y: dict) -> dict:
         return _horner(self.space, x, y)
@@ -212,8 +229,6 @@ def cl_scalar(space: QuadraticSpace, s: Scalar) -> CliffordElement:
 
 
 def monomial(space: QuadraticSpace, mask: int) -> CliffordElement:
-    if mask >> space.rank:
-        raise ShapeError("mask uses generators beyond the rank")
     return CliffordElement(space, {mask: space.ring.one})
 
 
@@ -336,6 +351,13 @@ class GradedTensorElement(_TermMap):
 
     __slots__ = ("algebra", "terms")
     _mismatch = "elements live in different tensor algebras"
+
+    @staticmethod
+    def _check_key(algebra, key):
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise ShapeError(f"key {key!r} is not a (left mask, right mask) pair")
+        CliffordElement._check_key(algebra.left_space, key[0])
+        CliffordElement._check_key(algebra.right_space, key[1])
 
     def _product(self, x: dict, y: dict) -> dict:
         """The Koszul sign rule on (left mask, right mask) keys:

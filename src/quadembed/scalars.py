@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress
 from operator import add, attrgetter, mul
 
@@ -140,13 +139,19 @@ class RationalRing(Ring):
 
 
 class ModularRing(Ring):
-    """Integers mod m, canonical representatives in [0, m)."""
+    """Integers mod m, canonical representatives in [0, m).  There is one
+    instance per modulus, an int at least 2, so rings compare by identity."""
 
-    def __init__(self, modulus: int):
-        if modulus < 2:
-            raise RingError("modulus must be at least 2")
-        self.modulus = modulus
-        self.name = f"Z/{modulus}"
+    _interned: dict = {}
+
+    def __new__(cls, modulus: int):
+        if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 2:
+            raise RingError(f"modulus {modulus!r} is not an integer at least 2")
+        ring = cls._interned.get(modulus)
+        if ring is None:
+            ring = cls._interned[modulus] = super().__new__(cls)
+            ring.modulus, ring.name = modulus, f"Z/{modulus}"
+        return ring
 
     def normalize(self, value):
         if isinstance(value, bool):
@@ -186,12 +191,7 @@ class ModularRing(Ring):
 
 ZZ = IntegerRing()
 QQ = RationalRing()
-
-
-@lru_cache(maxsize=None)
-def Zmod(modulus: int) -> ModularRing:
-    """Interned ring of integers mod `modulus`."""
-    return ModularRing(modulus)
+Zmod = ModularRing
 
 
 def ring_from_name(name: str) -> Ring:
@@ -343,6 +343,8 @@ class ScalarMatrix:
         if len(values) != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries, got {len(values)}")
         if den != 1:
+            if not den:
+                raise RingError("the denominator is zero")
             if isinstance(ring, ModularRing):
                 inv = ring.inverse_value(den % ring.modulus)
                 values, den = [v * inv for v in values], 1
@@ -364,13 +366,13 @@ class ScalarMatrix:
         rows = [list(r) for r in rows]
         if not rows or not rows[0]:
             raise ShapeError("matrix needs at least one entry")
-        ring = rows[0][0].ring
+        ring = getattr(rows[0][0], "ring", None)
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
         entries = [e for r in rows for e in r]
-        if any(e.ring is not ring for e in entries):
-            raise RingError("all entries must share one ring")
+        if any(not isinstance(e, Scalar) or e.ring is not ring for e in entries):
+            raise RingError("entries must be Scalars of one ring")
         values, den = raw_row(entries, ring)
         return cls(len(rows), width, values, ring, den)
 
@@ -490,7 +492,7 @@ class ScalarMatrix:
         return ScalarMatrix(self.rows, k, out, self.ring, self.den * other.den)
 
     def scale(self, s: Scalar) -> "ScalarMatrix":
-        if s.ring is not self.ring:
+        if not isinstance(s, Scalar) or s.ring is not self.ring:
             raise RingError("ring mismatch")
         c = s.value
         values = [c.numerator * v for v in self.values]

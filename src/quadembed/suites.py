@@ -296,10 +296,8 @@ def _clifford_graded_iso(cfg: SuiteConfig, rng, failures):
 def _clifford_suslin_rank(cfg: SuiteConfig, rng, failures):
     ranks = {}
     for n in (2, 3):
-        phi = build_phi(cfg.suslin_bed(n))
+        phi = build_phi(cfg.suslin_bed(n))  # raises InjectivityError unless the rank is 4^n
         ranks[str(n)] = phi.monomial_rank
-        if phi.monomial_rank != 1 << (2 * n):
-            failures.append({"n": n, "rank": phi.monomial_rank})
     return {"ranks": ranks}
 
 
@@ -332,8 +330,8 @@ def _embedding_phi(cfg: SuiteConfig, rng, failures):
         phi = build_phi(bed)
         images = enumerate(phi.monomial_images)
         graded = all(parity_of_block_matrix(img) == bin(m).count("1") % 2 for m, img in images)
-        if not graded or not phi.injective:
-            failures.append({"bed": repr(bed), "identity": "graded/injective"})
+        if not graded:
+            failures.append({"bed": repr(bed), "identity": "graded"})
         for i in range(max(1, cfg.samples // 4)):
             a = random_element(rng, bed.space, max_terms=3, bound=3)
             b = random_element(rng, bed.space, max_terms=3, bound=3)

@@ -442,6 +442,86 @@ def test_a_failing_report_is_pinned(monkeypatch):
     )
 
 
+def test_each_check_fails_on_a_planted_defect(monkeypatch):
+    """Each check that a passing run never fails is run alone with one
+    planted defect; `run_suite` records it as failed, naming the identity
+    where the check names one, and raises nothing."""
+    import quadembed.clifford as clifford
+    import quadembed.embedding as embedding
+    import quadembed.suites as suites
+    from quadembed.algmat import block2
+    from quadembed.scalars import ScalarMatrix, ZZ
+    from quadembed.spin import EvenPair
+
+    def bumped(real):  # entry (0, 0) one too high
+        def defect(p):
+            s = real(p)
+            return s + ScalarMatrix(s.rows, s.cols, [1] + [0] * (len(s.values) - 1), s.ring)
+        return defect
+
+    def plus_left(real):  # x * y read as x y + x
+        return lambda x, y: real(x, y) + x
+
+    def one_low(real):
+        return lambda *args: real(*args) - 1
+
+    def unswapped(real):  # form 1 lifts the diagonal blocks in place
+        def defect(self, m):
+            if self.form.form != 1:
+                return real(self, m)
+            a, b, c, d = m.blocks2()
+            return real(self, block2(d, b, c, a))
+        return defect
+
+    def doubled(real):
+        def defect(p, v):
+            coords = real(p, v)
+            return coords and [2 * c for c in coords]
+        return defect
+
+    spin_cfg = suites.SuiteConfig("spin", samples=4, ring=ZZ)
+    ctx = spin_cfg.spin_bed
+    cases = [
+        ("suslin", "parity_law", None, suites, "suslin", bumped(suites.suslin)),
+        ("suslin", "bar_involution", None, suites, "suslin_bar", bumped(suites.suslin_bar)),
+        ("suslin", "linearity", None, suites, "suslin", bumped(suites.suslin)),
+        ("clifford", "associativity", None, clifford.CliffordElement, "__mul__",
+         plus_left(clifford.CliffordElement.__mul__)),
+        ("clifford", "grading", None, clifford.CliffordElement, "__mul__",
+         plus_left(clifford.CliffordElement.__mul__)),
+        ("clifford", "involution", "antimultiplicative", suites, "standard_involution",
+         clifford.grade_involution),
+        ("clifford", "pbw_count", None, suites, "pbw_basis", lambda s: clifford.pbw_basis(s)[:-1]),
+        ("clifford", "tensor_assoc", None, clifford.GradedTensorElement, "__mul__",
+         plus_left(clifford.GradedTensorElement.__mul__)),
+        ("clifford", "graded_iso_sum", None, clifford, "rank_in_ring", one_low(clifford.rank_in_ring)),
+        ("embedding", "validate", None, embedding, "rank_in_ring", one_low(embedding.rank_in_ring)),
+        ("embedding", "phi", "parity", clifford.UniversalMap, "__call__",
+         lambda self, a, real=clifford.UniversalMap.__call__: real(self, a) + self.one),
+        ("embedding", "unit_trace", None, embedding.Embedding, "rho_bar_of", embedding.Embedding.rho_of),
+        ("embedding", "lifted_involution", "anti", embedding.LiftedInvolution, "__call__",
+         unswapped(embedding.LiftedInvolution.__call__)),
+        ("embedding", "involution_structure", None, embedding.Embedding, "rho_bar_of",
+         embedding.Embedding.rho_of),
+        ("embedding", "involution_bridge", None, suites, "standard_involution", clifford.grade_involution),
+        ("spin", "norm_multiplicative", "star", ctx, "star", lambda m, real=ctx.star: real(m).scale(ZZ(2))),
+        ("spin", "elementary_family", "membership", ctx, "sample_elementary_product",
+         lambda rng, real=ctx.sample_elementary_product: real(rng).scale(ZZ(2))),
+        ("spin", "elementary_family", "spin", ctx, "chi_inverse", lambda g: EvenPair(g, ctx.star(g))),
+        ("spin", "elementary_family", "roundtrip", ctx, "chi", lambda p: ctx.group_element(p.g2)),
+        ("spin", "elementary_family", "isometry", ctx, "conjugation_coords", doubled(ctx.conjugation_coords)),
+    ]
+    for suite, check, identity, owner, attr, defect in cases:
+        with monkeypatch.context() as m:
+            m.setitem(suites._CHECKS, suite, [c for c in suites._CHECKS[suite] if c[0] == check])
+            m.setattr(owner, attr, defect)
+            cfg = spin_cfg if suite == "spin" else suites.SuiteConfig(suite, samples=4, ring=ZZ)
+            (result,) = suites.run_suite(cfg)["checks"]
+        assert not result["passed"], (check, identity)
+        if identity is not None:
+            assert identity in {f.get("identity") for f in result["failures"]}, (check, identity)
+
+
 def test_each_suite_reports_its_checks_in_order():
     from quadembed.scalars import ZZ
     from quadembed.suites import SUITES, run_suites
@@ -542,21 +622,39 @@ def test_cli_entry_point_subprocess():
     assert json.loads(proc.stdout)["j"] == [["1"]]
 
 
+def _fresh_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "import sys; print(*sys.modules)"],
+        capture_output=True, text=True, cwd=PACKAGE_ROOT, check=True,
+    )
+    return set(proc.stdout.split())
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """A fresh interpreter that imports the CLI loads, beyond what a bare
     interpreter loads, neither module: both cost a cold start milliseconds
     the CLI has no use for."""
-
-    def modules(code):
-        proc = subprocess.run(
-            [sys.executable, "-c", code + "import sys; print(*sys.modules)"],
-            capture_output=True, text=True, cwd=PACKAGE_ROOT, check=True,
-        )
-        return set(proc.stdout.split())
-
-    loaded = modules("import quadembed.cli; ") - modules("")
+    loaded = _fresh_modules("import quadembed.cli; ") - _fresh_modules("")
     assert "quadembed.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_package_names_load_their_submodule_on_first_use():
+    """`import quadembed` loads no submodule, a public name loads the one
+    that owns it, and `import quadembed.cli` loads the modules its own
+    imports name."""
+
+    def package_modules(code):
+        return {m for m in _fresh_modules(code) if m.split(".")[0] == "quadembed"}
+
+    assert package_modules("import quadembed; ") == {"quadembed"}
+    assert package_modules("import quadembed; quadembed.ZZ; ") == {"quadembed", "quadembed.scalars"}
+    assert package_modules("import quadembed.cli; ") == {
+        "quadembed", "quadembed.algmat", "quadembed.cli", "quadembed.clifford",
+        "quadembed.embedding", "quadembed.qspace", "quadembed.scalars", "quadembed.spin",
+        "quadembed.suites", "quadembed.suslin",
+    }
 
 
 def test_emitted_objects_reparse(capsys):

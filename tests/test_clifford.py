@@ -404,6 +404,35 @@ def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
         assert not hasattr(x, "__dict__")
 
 
+def test_constructors_refuse_foreign_coefficients_and_masks():
+    """A constructor refuses a coefficient of another ring, or no Scalar, with
+    `RingError` and a key outside the algebra with `ShapeError`; the results
+    of +, -, scale and * skip the check but drop residues that reduce to 0."""
+    h = hyperbolic(1, ZZ)
+    alg = GradedTensorAlgebra(h, h)
+    refusals = [
+        (ShapeError, "mask 9 is outside 0..3", lambda: CliffordElement(h, {9: ZZ(2)})),
+        (ShapeError, "mask -1 is outside 0..3", lambda: CliffordElement(h, {-1: ZZ(2)})),
+        (ShapeError, "mask 4 is outside 0..3", lambda: monomial(h, 4)),
+        (RingError, "not an element of Z", lambda: CliffordElement(h, {1: QQ(Fraction(1, 2))})),
+        (RingError, "not an element of Z", lambda: CliffordElement(h, {1: 2})),
+        (ShapeError, "mask 4 is outside 0..3", lambda: GradedTensorElement(alg, {(0, 4): ZZ(1)})),
+        (ShapeError, "not a .left mask, right mask. pair", lambda: GradedTensorElement(alg, {1: ZZ(1)})),
+        (RingError, "not an element of Z", lambda: GradedTensorElement(alg, {(1, 0): QQ(1)})),
+        (RingError, "Scalars of one ring", lambda: ScalarMatrix.from_rows([[1, 2]])),
+        (RingError, "Scalars of one ring", lambda: ScalarMatrix.from_rows([[ZZ(1), 2]])),
+        (RingError, "ring mismatch", lambda: ScalarMatrix.identity(2, ZZ).scale(2)),
+        (RingError, "denominator is zero", lambda: ScalarMatrix(1, 1, [1], QQ, 0)),
+    ]
+    for error, text, call in refusals:
+        with pytest.raises(error, match=text):
+            call()
+    ring = Zmod(6)
+    x = CliffordElement(hyperbolic(1, ring), {1: ring(2), 2: ring(3)})
+    assert x.scale(ring(3)).terms == (x + x + x).terms == {2: ring(3)}
+    assert (x * x).terms == (x - x).terms == {}
+
+
 def test_graded_tensor_sign_rule():
     neg = diagonal_space([-1], ZZ)
     alg = GradedTensorAlgebra(neg, neg)

@@ -419,6 +419,26 @@ def test_modular_solve_nonunit_pivots():
     assert a.apply(x) == b
 
 
+def test_a_float_modulus_is_refused():
+    """Z/6.0 had been a ring of floats, in a package with no floating point."""
+    with pytest.raises(RingError, match="6.0 is not an integer"):
+        Zmod(6.0)
+
+
+def test_a_modulus_that_is_not_an_int_is_a_ring_error():
+    for modulus in ("6", None, True, False, 1, -6, Fraction(6)):
+        with pytest.raises(RingError, match="not an integer at least 2"):
+            Zmod(modulus)
+
+
+def test_the_modular_ring_class_keeps_one_instance_per_modulus():
+    from quadembed.scalars import ModularRing
+
+    assert ModularRing(6) is Zmod(6) and ModularRing(6) is not Zmod(4)
+    a = ScalarMatrix.identity(2, ModularRing(6))
+    assert a + ScalarMatrix.identity(2, Zmod(6)) == a.scale(Zmod(6)(2))
+
+
 def test_modular_modulus_cap():
     """Modular solves have no cap on the modulus."""
     ring = Zmod(101)

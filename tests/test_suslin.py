@@ -3,6 +3,7 @@ hyperbolic matrix realisation, and the generator catalog."""
 
 import itertools
 import random
+import sys
 import time
 import types
 from fractions import Fraction
@@ -246,6 +247,14 @@ def test_package_does_not_shadow_the_suslin_module():
     }
     assert not submodules & set(quadembed.__all__)
     assert all(hasattr(quadembed, name) for name in quadembed.__all__)
+    # the seven submodules that own the public names resolve as attributes
+    for name in submodules - {"suites", "cli"}:
+        assert getattr(quadembed, name) is sys.modules[f"quadembed.{name}"]
+    assert len(quadembed.__all__) == len(set(quadembed.__all__)) == 50
+    bound = {}
+    exec("from quadembed import *", bound)
+    assert set(bound) - {"__builtins__"} == set(quadembed.__all__)
+    assert set(quadembed.__all__) <= set(dir(quadembed))
 
 
 def test_j_involution_fixes_basis_images():
