@@ -6,6 +6,12 @@ Each public name is resolved on first use from the submodule that owns it
 
 from importlib import import_module
 
+# The command-line parser's tables live here, so that building it loads no
+# submodule; suites.py, suslin.py and clifford.py bind them from here.
+SUITES = ("suslin", "clifford", "embedding", "spin", "catalog")
+FAMILIES = ("hyperbolic2n", "odd2n1", "even2n2")
+RANK_LIMIT = 12
+
 # `suslin` and `suslin_bar` stay in `quadembed.suslin`: listing them here
 # would shadow the submodule of the same name.
 _NAMES = {

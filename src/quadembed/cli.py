@@ -10,44 +10,52 @@ import io
 import json
 import sys
 
-from .algmat import matrix_json
-from .clifford import RANK_LIMIT, CliffordElement
-from .qspace import QuadraticSpace, diagonal_space, hyperbolic
-from .scalars import QQ, Ring, RingError, ShapeError, ZZ, Zmod, json_field, parse_scalar
-from .suites import SUITES, run_suites
-from .suslin import (
-    FAMILIES,
-    catalog_generators,
-    catalog_space,
-    check_suslin_identities,
-    derive_j,
-    hyperbolic_clifford_iso,
-    suslin,
-    suslin_bar,
-    suslin_pair,
-)
+from . import FAMILIES, RANK_LIMIT, SUITES
+
+# Each handler imports the engine modules it runs, so `--help` and a refused
+# argument load none of them.
 
 
-def _parse_ring(text: str | None) -> Ring:
+def _read(what: str, text: str, form: str, parse, *args):
+    """parse(*args), with Python's own ValueError (int's, say) replaced by one
+    naming the argument `text` and its form; package errors pass."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        if type(err) is not ValueError:
+            raise
+        raise ValueError(f"cannot parse {what} {text!r}; use {form}") from None
+
+
+def _parse_ring(text: str | None):
+    from .scalars import QQ, ZZ, Zmod
+
     if text is None or text == "z":
         return ZZ
     if text == "q":
         return QQ
     if text.startswith("zmod:"):
-        return Zmod(int(text.split(":", 1)[1]))
+        return Zmod(_read("ring", text, "z, q or zmod:m", int, text[5:]))
     raise ValueError(f"unknown ring {text!r}; use z, q or zmod:m")
 
 
-def _parse_vector(text: str, ring: Ring):
-    return [parse_scalar(part, ring) for part in text.split(",")]
+def _parse_vector(text: str, ring):
+    from .scalars import parse_scalar
+
+    form = "c1,..,cn with each c one of n, n/d or n mod m"
+    return [_read("vector", text, form, parse_scalar, c, ring) for c in text.split(",")]
 
 
 def _check_rank(rank: int) -> None:
     if rank > RANK_LIMIT:
+        from .scalars import ShapeError
+
         raise ShapeError(f"space rank {rank} exceeds the monomial-mask cap of {RANK_LIMIT}")
 
 
-def _parse_space(text: str, ring: Ring) -> QuadraticSpace:
+def _parse_space(text: str, ring):
+    from .qspace import QuadraticSpace, diagonal_space, hyperbolic
+
     # hyp:N and diag: are checked before their rank**2 form is built; a JSON
     # form is as large as its text
     if text.startswith("{"):
@@ -55,27 +63,30 @@ def _parse_space(text: str, ring: Ring) -> QuadraticSpace:
         _check_rank(space.rank)
         return space
     if text.startswith("hyp:"):
-        n = int(text.split(":", 1)[1])
+        n = _read("space", text, "hyp:N, diag:c1,..,cn or JSON", int, text[4:])
         _check_rank(2 * n)
         return hyperbolic(n, ring)
     if text.startswith("diag:"):
-        coefficients = _parse_vector(text.split(":", 1)[1], ring)
+        coefficients = _parse_vector(text[5:], ring)
         _check_rank(len(coefficients))
         return diagonal_space(coefficients, ring)
     raise ValueError(f"cannot parse space {text!r}; use hyp:N, diag:c1,..,cn or JSON")
 
 
-def _parse_element(text: str, space: QuadraticSpace) -> CliffordElement:
-    terms = {}
+def _parse_element(text: str, space):
+    from .clifford import CliffordElement
+    from .scalars import json_field, parse_scalar
+
     if text.startswith("{"):
-        for t in json_field(json.loads(text), "terms", list, "element JSON"):
-            mask = int(json_field(t, "mask", (int, str), "element term"))
-            terms[mask] = parse_scalar(json_field(t, "coeff", str, "element term"), space.ring)
+        pairs = [(json_field(t, "mask", (int, str), "element term"),
+                  json_field(t, "coeff", str, "element term"))
+                 for t in json_field(json.loads(text), "terms", list, "element JSON")]
     else:
-        for chunk in text.split(","):
-            mask, coeff = chunk.split(":")
-            terms[int(mask)] = parse_scalar(coeff, space.ring)
-    return CliffordElement(space, terms)
+        pairs = [chunk.split(":") for chunk in text.split(",")]
+    # the generator runs, and so raises, inside `_read`
+    terms = ((int(mask), parse_scalar(coeff, space.ring)) for mask, coeff in pairs)
+    form = "mask:coeff[,mask:coeff..] with each coeff one of n, n/d or n mod m, or JSON"
+    return CliffordElement(space, _read("element", text, form, dict, terms))
 
 
 def _emit(obj) -> None:
@@ -83,6 +94,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_suslin(args) -> int:
+    from .suslin import check_suslin_identities, suslin, suslin_bar, suslin_pair
+
     ring = _parse_ring(args.ring)
     pair = suslin_pair(ring, _parse_vector(args.v, ring), _parse_vector(args.w, ring))
     out = {"n": len(pair.v) - 1, "s": suslin(pair).to_json()}
@@ -107,38 +120,30 @@ def _cmd_clifford_mul(args) -> int:
 
 
 def _cmd_derive_j(args) -> int:
+    from .suslin import derive_j
+
     _emit(derive_j(args.n).to_json())
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .suslin import hyperbolic_clifford_iso
+
     ring = _parse_ring(args.ring)
     phi = hyperbolic_clifford_iso(args.n, ring)
-    monomials = 1 << (2 * args.n)
-    _emit(
-        {
-            "n": args.n,
-            "ring": ring.name,
-            "monomials": monomials,
-            "rank": phi.monomial_rank,
-            "isomorphism": phi.bijective,
-        }
-    )
+    _emit({"n": args.n, "ring": ring.name, "monomials": 1 << (2 * args.n),
+           "rank": phi.monomial_rank, "isomorphism": phi.bijective})
     return 0
 
 
 def _cmd_catalog(args) -> int:
+    from .algmat import matrix_json
+    from .suslin import catalog_generators, catalog_space
+
     ring = _parse_ring(args.ring)
-    gens = catalog_generators(args.family, args.n, ring)
-    space = catalog_space(args.family, args.n, ring)
-    _emit(
-        {
-            "family": args.family,
-            "n": args.n,
-            "space": space.to_json(),
-            "generators": [matrix_json(g) for g in gens],
-        }
-    )
+    gens = [matrix_json(g) for g in catalog_generators(args.family, args.n, ring)]
+    space = catalog_space(args.family, args.n, ring).to_json()
+    _emit({"family": args.family, "n": args.n, "space": space, "generators": gens})
     return 0
 
 
@@ -146,6 +151,8 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     ring = _parse_ring(args.ring)
+    from .suites import run_suites
+
     # opened first, so a path that cannot be written fails before any suite runs
     with open(args.emit, "w", encoding="utf-8") if args.emit else io.StringIO() as emit:
         report = run_suites(args.suite, args.seed, args.samples, ring)
@@ -210,7 +217,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (RingError, ShapeError, ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError) as err:  # RingError and ShapeError are ValueErrors
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+from . import RANK_LIMIT
 from .qspace import QuadraticSpace, orthogonal_sum
 from .scalars import ZZ, RingError, Scalar, ShapeError, is_unimodular, rank_in_ring, raw_row
-
-RANK_LIMIT = 12
 
 
 class CliffordRelationError(ValueError):
@@ -57,6 +56,8 @@ class _TermMap:
             raise ShapeError(self._mismatch)
 
     def __add__(self, other):
+        if not isinstance(other, _TermMap):
+            return NotImplemented
         self._check(other)
         acc = dict(self.terms)
         for k, c in other.terms.items():
@@ -65,7 +66,7 @@ class _TermMap:
         return self._new(acc)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, _TermMap) else NotImplemented
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from functools import cached_property
 
+from . import FAMILIES, SUITES
 from .algmat import AlgMatrix, parity_of_block_matrix
 from .clifford import (
     CliffordElement,
@@ -39,7 +40,6 @@ from .qspace import QuadraticSpace, diagonal_space, hyperbolic, random_vector
 from .scalars import Ring, ScalarMatrix, ZZ
 from .spin import SpinContext
 from .suslin import (
-    FAMILIES,
     CatalogError,
     bar_pair,
     catalog_generators,
@@ -50,8 +50,6 @@ from .suslin import (
     suslin_embedding,
     suslin_pair,
 )
-
-SUITES = ("suslin", "clifford", "embedding", "spin", "catalog")
 
 
 class SuiteConfig:

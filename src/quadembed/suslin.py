@@ -4,6 +4,7 @@ small split quadratic spaces."""
 
 from __future__ import annotations
 
+from . import FAMILIES
 from .algmat import AlgMatrix, CliffordCoeffs, block2, lift_scalar_matrix
 from .clifford import CliffordRelationError, UniversalMap, extend_universal, monomial
 from .embedding import Embedding, InvolutionForm, build_phi
@@ -262,9 +263,6 @@ def hyperbolic_clifford_iso(n: int, ring: Ring) -> UniversalMap:
 
 class CatalogError(ValueError):
     """A generator family violates its stated relations."""
-
-
-FAMILIES = ("hyperbolic2n", "odd2n1", "even2n2")
 
 
 def catalog_space(family: str, n: int, ring: Ring) -> QuadraticSpace:

@@ -171,6 +171,31 @@ def test_bad_input_exits_2_with_one_line(capsys):
     assert code == 2 and out == "" and err.count("\n") == 1
 
 
+def test_malformed_text_names_itself_and_its_form(capsys):
+    """Text that does not parse is refused with exit 2 and one line naming
+    the argument and the form it should take, not Python's own words."""
+    mul = ("clifford", "mul", "--b", "1:1")
+    for argv, text, form in (
+        ((*mul, "--space", "hyp:1", "--a", "x"), "x", "mask:coeff"),
+        ((*mul, "--space", "hyp:1", "--a", "1:2:3"), "1:2:3", "mask:coeff"),
+        ((*mul, "--space", "hyp:1", "--a", "a:1"), "a:1", "mask:coeff"),
+        ((*mul, "--space", "hyp:1", "--a", "1:x"), "1:x", "mask:coeff"),
+        ((*mul, "--space", "hyp:1", "--a", '{"terms": [{"mask": "x", "coeff": "1"}]}'),
+         '{"terms": [{"mask": "x", "coeff": "1"}]}', "mask:coeff"),
+        ((*mul, "--space", "hyp:x", "--a", "1:1"), "hyp:x", "hyp:N"),
+        ((*mul, "--space", "diag:1,,2", "--a", "1:1"), "1,,2", "c1,..,cn"),
+        ((*mul, "--space", "hyp:1", "--ring", "zmod:x", "--a", "1:1"), "zmod:x", "zmod:m"),
+        (("iso", "--n", "2", "--ring", "zmod:"), "zmod:", "zmod:m"),
+        (("suslin", "--v", "1,,2", "--w", "1,2,3"), "1,,2", "c1,..,cn"),
+        (("suslin", "--v", "1", "--w", "1 mod x", "--ring", "zmod:5"), "1 mod x", "n mod m"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot parse ") and err.count("\n") == 1, err
+        named, _, use = err.partition("; use ")
+        assert repr(text) in named and form in use, err
+
+
 # Scalar strings: numbers, fractions (over zero too), residues modulo any
 # modulus, huge integers, and strings that are not numbers at all.  Q is
 # drawn more often than the other rings, and well-formed input more often
@@ -611,15 +636,36 @@ def test_verify_determinism_in_process(capsys):
     assert out1 == out2
 
 
-def test_cli_entry_point_subprocess():
+def _run_module(*argv):
+    """`python -m quadembed *argv` in a fresh interpreter, with the
+    `quadembed` modules it imported, read from `-X importtime`."""
     proc = subprocess.run(
-        [sys.executable, "-m", "quadembed", "derive-j", "--n", "1"],
-        capture_output=True,
-        text=True,
-        cwd=PACKAGE_ROOT,
+        [sys.executable, "-X", "importtime", "-m", "quadembed", *argv],
+        capture_output=True, text=True, cwd=PACKAGE_ROOT,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["j"] == [["1"]]
+    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    return proc, {name for name in names if name.split(".")[0] == "quadembed"}
+
+
+def test_cli_entry_point_subprocess():
+    """Every command runs in a fresh interpreter.  In process every module
+    is already loaded, so only here does a handler fail that leans on a
+    module it does not import itself, or on an import order that holds
+    only when another module loaded first."""
+    for argv in (
+        ("suslin", "--v", "1,2", "--w", "3,4", "--check"),
+        ("clifford", "mul", "--space", "hyp:1", "--a", "1:1", "--b", "2:1"),
+        ("derive-j", "--n", "1"),
+        ("iso", "--n", "2"),
+        ("catalog", "--family", "odd2n1", "--n", "1"),
+        ("verify", "--suite", "catalog", "--samples", "1"),
+    ):
+        proc, _ = _run_module(*argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        out = json.loads(proc.stdout)
+        if argv[0] == "derive-j":
+            assert out["j"] == [["1"]]
 
 
 def _fresh_modules(code: str) -> set[str]:
@@ -642,15 +688,22 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_package_names_load_their_submodule_on_first_use():
     """`import quadembed` loads no submodule, a public name loads the one
-    that owns it, and `import quadembed.cli` loads the modules its own
-    imports name."""
+    that owns it, and the CLI loads the engine only in the handler that
+    runs it: `--help` and a refused argument load none of it."""
 
     def package_modules(code):
         return {m for m in _fresh_modules(code) if m.split(".")[0] == "quadembed"}
 
     assert package_modules("import quadembed; ") == {"quadembed"}
     assert package_modules("import quadembed; quadembed.ZZ; ") == {"quadembed", "quadembed.scalars"}
-    assert package_modules("import quadembed.cli; ") == {
+    assert package_modules("import quadembed.cli; ") == {"quadembed", "quadembed.cli"}
+    for argv, code in ((("--help",), 0), (("verify", "--suite", "nope"), 2)):
+        proc, loaded = _run_module(*argv)
+        assert proc.returncode == code
+        assert loaded == {"quadembed", "quadembed.cli"}, argv
+    proc, loaded = _run_module("verify", "--suite", "catalog", "--samples", "1")
+    assert proc.returncode == 0
+    assert loaded == {
         "quadembed", "quadembed.algmat", "quadembed.cli", "quadembed.clifford",
         "quadembed.embedding", "quadembed.qspace", "quadembed.scalars", "quadembed.spin",
         "quadembed.suites", "quadembed.suslin",

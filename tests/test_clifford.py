@@ -371,8 +371,10 @@ def test_extend_universal_rejects_bad_images():
 
 
 def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
-    """Each refusal raises its package error; a tensor element subtracts as
-    a + (-b), and equal ones built over equal algebras hash alike."""
+    """Each refusal raises its package error, or TypeError for an operand
+    that is no term map, as for any Python number; a tensor element
+    subtracts as a + (-b), and equal ones built over equal algebras hash
+    alike."""
     h, d = hyperbolic(1, ZZ), diagonal_space([1], ZZ)
     e1, e2, f = monomial(h, 1), monomial(h, 2), monomial(d, 1)
     alg, flipped = GradedTensorAlgebra(h, d), GradedTensorAlgebra(d, h)
@@ -385,6 +387,15 @@ def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
         (ShapeError, lambda: phi(f)),
         (ShapeError, lambda: extend_universal(h, [e1], cl_one(h))),
         (RingError, lambda: GradedTensorAlgebra(h, hyperbolic(1, QQ))),
+        (TypeError, lambda: e1 + 1),
+        (TypeError, lambda: e1 - 1),
+        (TypeError, lambda: 1 - e1),
+        (TypeError, lambda: e1 * 2),
+        (TypeError, lambda: alg.one() + 1),
+        (TypeError, lambda: alg.one() - 1),
+        (ShapeError, lambda: alg.one() + e1),
+        (ShapeError, lambda: alg.one() - e1),
+        (ShapeError, lambda: e1 - alg.one()),
     ]
     for error, call in refusals:
         with pytest.raises(error):
