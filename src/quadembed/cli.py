@@ -17,8 +17,9 @@ from . import FAMILIES, RANK_LIMIT, SUITES
 
 
 def _read(what: str, text: str, form: str, parse, *args):
-    """parse(*args), with Python's own ValueError (int's, say) replaced by one
-    naming the argument `text` and its form; package errors pass."""
+    """parse(*args) for one conversion (`int` or `parse_scalar`), with Python's
+    own ValueError (int's, say) replaced by one naming the argument `text` and
+    its form; package errors, ValueError subclasses, pass."""
     try:
         return parse(*args)
     except ValueError as err:
@@ -78,15 +79,18 @@ def _parse_element(text: str, space):
     from .scalars import json_field, parse_scalar
 
     if text.startswith("{"):
-        pairs = [(json_field(t, "mask", (int, str), "element term"),
-                  json_field(t, "coeff", str, "element term"))
-                 for t in json_field(json.loads(text), "terms", list, "element JSON")]
+        pairs = [
+            (json_field(t, "mask", (int, str), "element term"), json_field(t, "coeff", str, "element term"))
+            for t in json_field(json.loads(text), "terms", list, "element JSON")
+        ]
     else:
-        pairs = [chunk.split(":") for chunk in text.split(",")]
-    # the generator runs, and so raises, inside `_read`
-    terms = ((int(mask), parse_scalar(coeff, space.ring)) for mask, coeff in pairs)
+        pairs = [chunk.partition(":")[::2] for chunk in text.split(",")]
     form = "mask:coeff[,mask:coeff..] with each coeff one of n, n/d or n mod m, or JSON"
-    return CliffordElement(space, _read("element", text, form, dict, terms))
+    terms = {}
+    for mask, coeff in pairs:
+        mask = _read("element", text, form, int, mask)
+        terms[mask] = _read("element", text, form, parse_scalar, coeff, space.ring)
+    return CliffordElement(space, terms)
 
 
 def _emit(obj) -> None:
@@ -131,8 +135,16 @@ def _cmd_iso(args) -> int:
 
     ring = _parse_ring(args.ring)
     phi = hyperbolic_clifford_iso(args.n, ring)
-    _emit({"n": args.n, "ring": ring.name, "monomials": 1 << (2 * args.n),
-           "rank": phi.monomial_rank, "isomorphism": phi.bijective})
+    monomials = 1 << (2 * args.n)
+    _emit(
+        {
+            "n": args.n,
+            "ring": ring.name,
+            "monomials": monomials,
+            "rank": phi.monomial_rank,
+            "isomorphism": phi.bijective,
+        }
+    )
     return 0
 
 
@@ -141,9 +153,16 @@ def _cmd_catalog(args) -> int:
     from .suslin import catalog_generators, catalog_space
 
     ring = _parse_ring(args.ring)
-    gens = [matrix_json(g) for g in catalog_generators(args.family, args.n, ring)]
-    space = catalog_space(args.family, args.n, ring).to_json()
-    _emit({"family": args.family, "n": args.n, "space": space, "generators": gens})
+    gens = catalog_generators(args.family, args.n, ring)
+    space = catalog_space(args.family, args.n, ring)
+    _emit(
+        {
+            "family": args.family,
+            "n": args.n,
+            "space": space.to_json(),
+            "generators": [matrix_json(g) for g in gens],
+        }
+    )
     return 0
 
 

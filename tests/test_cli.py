@@ -677,12 +677,21 @@ def _fresh_modules(code: str) -> set[str]:
     return set(proc.stdout.split())
 
 
+# every module of the package, all of which a `verify` run loads
+PACKAGE_MODULES = {
+    "quadembed", "quadembed.algmat", "quadembed.cli", "quadembed.clifford",
+    "quadembed.embedding", "quadembed.qspace", "quadembed.scalars", "quadembed.spin",
+    "quadembed.suites", "quadembed.suslin",
+}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """A fresh interpreter that imports the CLI loads, beyond what a bare
+    """A fresh interpreter that imports the CLI and the engine, as `verify`
+    does (suites imports every engine module), loads, beyond what a bare
     interpreter loads, neither module: both cost a cold start milliseconds
     the CLI has no use for."""
-    loaded = _fresh_modules("import quadembed.cli; ") - _fresh_modules("")
-    assert "quadembed.cli" in loaded
+    loaded = _fresh_modules("import quadembed.cli, quadembed.suites; ") - _fresh_modules("")
+    assert PACKAGE_MODULES <= loaded
     assert not loaded & {"dataclasses", "inspect"}
 
 
@@ -703,11 +712,7 @@ def test_package_names_load_their_submodule_on_first_use():
         assert loaded == {"quadembed", "quadembed.cli"}, argv
     proc, loaded = _run_module("verify", "--suite", "catalog", "--samples", "1")
     assert proc.returncode == 0
-    assert loaded == {
-        "quadembed", "quadembed.algmat", "quadembed.cli", "quadembed.clifford",
-        "quadembed.embedding", "quadembed.qspace", "quadembed.scalars", "quadembed.spin",
-        "quadembed.suites", "quadembed.suslin",
-    }
+    assert loaded == PACKAGE_MODULES
 
 
 def test_emitted_objects_reparse(capsys):
