@@ -94,6 +94,8 @@ class AlgMatrix:
             raise RingError("coefficient algebra mismatch")
 
     def __add__(self, other):
+        if not isinstance(other, AlgMatrix):
+            return NotImplemented
         self._check(other)
         return AlgMatrix(
             self.algebra,

@@ -118,7 +118,7 @@ class CliffordElement(_TermMap):
 
     @staticmethod
     def _check_key(space, mask):
-        if not (isinstance(mask, int) and 0 <= mask < 1 << space.rank):
+        if not (isinstance(mask, int) and not isinstance(mask, bool) and 0 <= mask < 1 << space.rank):
             raise ShapeError(f"mask {mask} is outside 0..{(1 << space.rank) - 1}")
 
     def _product(self, x: dict, y: dict) -> dict:

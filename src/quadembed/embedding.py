@@ -176,21 +176,12 @@ class Embedding:
         )
 
 
-class ValidationReport:
-    __slots__ = ("passed", "failures")
-
-    def __init__(self, passed: bool, failures: list):
-        self.passed, self.failures = passed, failures
-
-    def to_json(self):
-        return {"passed": self.passed, "failures": list(self.failures)}
-
-
-def validate_embedding(e: Embedding) -> ValidationReport:
+def validate_embedding(e: Embedding) -> list[str]:
     """Check every defining identity of the embedding, exactly.
 
-    Failures are collected into the report rather than raised.  The report
-    is kept on `e`, so later calls return the same object.
+    Returns the failed identities, empty for a valid embedding; they are
+    collected rather than raised.  The list is kept on `e`, so later calls
+    return the same object.
     """
     if e._report is not None:
         return e._report
@@ -229,8 +220,8 @@ def validate_embedding(e: Embedding) -> ValidationReport:
     if rank_in_ring(rho, e.ring) < n:
         failures.append("the basis images are dependent over the ring")
 
-    e._report = ValidationReport(not failures, failures)
-    return e._report
+    e._report = failures
+    return failures
 
 
 def build_phi(e: Embedding) -> UniversalMap:
@@ -249,9 +240,9 @@ def build_phi(e: Embedding) -> UniversalMap:
     """
     if e._phi is not None:
         return e._phi
-    report = validate_embedding(e)
-    if not report.passed:
-        raise EmbeddingError(f"embedding axioms fail: {report.failures}")
+    failures = validate_embedding(e)
+    if failures:
+        raise EmbeddingError(f"embedding axioms fail: {failures}")
     if not e.space.is_nondegenerate():
         raise EmbeddingError("quadratic space must be non-degenerate")
     zero, one = e.zero_matrix(), e.identity_matrix()

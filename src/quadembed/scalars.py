@@ -205,13 +205,13 @@ def ring_from_name(name: str) -> Ring:
 
 
 def json_field(data, key: str, kind, owner: str):
-    """data[key] of a parsed JSON object, or a ValueError naming the field
+    """data[key] of a parsed JSON object, or a ShapeError naming the field
     when `data` is not an object or the field is missing or not a `kind`."""
     value = data.get(key) if isinstance(data, dict) else None
     if value is None:
-        raise ValueError(f"{owner} has no field {key!r}")
+        raise ShapeError(f"{owner} has no field {key!r}")
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{owner} field {key!r} has the wrong type")
+        raise ShapeError(f"{owner} field {key!r} has the wrong type")
     return value
 
 
@@ -445,6 +445,8 @@ class ScalarMatrix:
         )
 
     def __add__(self, other):
+        if not isinstance(other, ScalarMatrix):
+            return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch")
         if self.ring is not other.ring:

@@ -84,7 +84,12 @@ class SpinContext:
         return self.embedding.v_span.solve(m)
 
     def in_even_image(self, p: EvenPair) -> bool:
-        """Whether diag(g1, g2) lies in the image of the even part."""
+        """Whether diag(g1, g2) lies in the image of the even part.  A
+        bijective phi maps the even part, whose images are block-diagonal,
+        onto every diag(g1, g2), so only a non-bijective one needs the solve
+        on `even_span`."""
+        if self.phi.bijective:
+            return True
         zero = self.embedding.zero_matrix()
         return self.embedding.even_span.solve(block2(p.g1, zero, zero, p.g2)) is not None
 
@@ -233,10 +238,11 @@ class SpinContext:
 
     # -- seeded verifier for the four structural facts -------------------
 
-    def lemma_checks(self, seed: int, samples: int) -> list["LemmaReport"]:
-        """Lemmas 4.1-4.4 on `samples` draws each.  Draw i of lemma L has its
-        own RNG, seeded "seed:L:i"; a draw that fails is recorded as that
-        seed and the witness its lemma returns."""
+    def lemma_checks(self, seed: int, samples: int) -> list[dict]:
+        """Lemmas 4.1-4.4 on `samples` draws each, one {"lemma", "samples",
+        "failures"} dict per lemma.  Draw i of lemma L has its own RNG,
+        seeded "seed:L:i"; a draw that fails is recorded as that seed and
+        the witness its lemma returns."""
         reports = []
         for lemma, check in (
             ("4.1", self._bar_characterisation),
@@ -250,7 +256,7 @@ class SpinContext:
                 witness = check(random.Random(skey))
                 if witness is not None:
                     failures.append({"seed": skey, "witness": witness})
-            reports.append(LemmaReport(lemma, samples, failures))
+            reports.append({"lemma": lemma, "samples": samples, "failures": failures})
         return reports
 
     def _bar_characterisation(self, rng: random.Random):
@@ -304,20 +310,6 @@ class SpinContext:
         coords = self.v_coords(self.bullet(g, v))
         if coords is None or self.space.evaluate_q(coords) != d * self.space.evaluate_q(v):
             return _coords_json(v)
-
-
-class LemmaReport:
-    __slots__ = ("lemma", "samples", "failures")
-
-    def __init__(self, lemma: str, samples: int, failures: list):
-        self.lemma, self.samples, self.failures = lemma, samples, failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self):
-        return {"lemma": self.lemma, "samples": self.samples, "failures": self.failures}
 
 
 def _coords_json(coords) -> list[str]:

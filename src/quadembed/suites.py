@@ -130,8 +130,8 @@ def _suslin_identities(cfg: SuiteConfig, rng, failures):
         for _ in range(cfg.samples):
             p = random_pair(rng, cfg.ring, n + 1)
             report = check_suslin_identities(p)
-            if not report.product_ok or report.det_ok is False:
-                failures.append(report.to_json())
+            if report["failures"]:
+                failures.append(report)
     return {"sizes": [2, 4, 8, 16]}
 
 
@@ -315,9 +315,9 @@ def _embedding_beds(cfg: SuiteConfig, rng):
 @_check("embedding", "validate")
 def _embedding_validate(cfg: SuiteConfig, rng, failures):
     for bed in _embedding_beds(cfg, rng):
-        report = validate_embedding(bed)
-        if not report.passed:
-            failures.append({"bed": repr(bed), "failures": report.failures})
+        failed = validate_embedding(bed)
+        if failed:
+            failures.append({"bed": repr(bed), "failures": failed})
 
 
 @_check("embedding", "phi")
@@ -443,8 +443,8 @@ def _embedding_bridge(cfg: SuiteConfig, rng, failures):
 def _spin_lemmas(cfg: SuiteConfig, rng, failures):
     ctx = cfg.spin_bed
     reports = ctx.lemma_checks(cfg.seed, cfg.samples)
-    failures.extend(r.to_json() for r in reports if not r.passed)
-    return {"reports": [r.to_json() for r in reports]}
+    failures.extend(r for r in reports if r["failures"])
+    return {"reports": reports}
 
 
 @_check("spin", "norm_multiplicative")

@@ -84,29 +84,10 @@ def bar_pair(p: SuslinPair) -> SuslinPair:
     return SuslinPair(v, w)
 
 
-class SuslinIdentityReport:
-    __slots__ = ("n", "dot", "product_ok", "det_ok", "failures")
-
-    def __init__(self, n: int, dot: Scalar, product_ok: bool, det_ok: bool | None, failures: list):
-        self.n, self.dot, self.failures = n, dot, failures
-        self.product_ok, self.det_ok = product_ok, det_ok  # det_ok is None for n = 0
-
-    @property
-    def passed(self) -> bool:
-        return self.product_ok and self.det_ok is not False
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "dot": str(self.dot),
-            "product_ok": self.product_ok,
-            "det_ok": self.det_ok,
-            "failures": list(self.failures),
-        }
-
-
-def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
-    """Verify the two defining identities of the pair, exactly."""
+def check_suslin_identities(p: SuslinPair) -> dict:
+    """Verify the two defining identities of the pair, exactly: the report
+    `suslin --check` prints, whose `failures` is empty when both hold
+    (`det_ok` is None for n = 0)."""
     n = len(p.v) - 1
     s = suslin(p)
     sbar = suslin_bar(p)
@@ -133,7 +114,7 @@ def check_suslin_identities(p: SuslinPair) -> SuslinIdentityReport:
         det_ok = det == want
         if not det_ok:
             failures.append({"identity": "determinant", "left": str(det), "right": str(want)})
-    return SuslinIdentityReport(n, dot, product_ok, det_ok, failures)
+    return {"n": n, "dot": str(dot), "product_ok": product_ok, "det_ok": det_ok, "failures": failures}
 
 
 class DerivationError(RuntimeError):

@@ -188,6 +188,12 @@ def test_malformed_text_names_itself_and_its_form(capsys):
         (("iso", "--n", "2", "--ring", "zmod:"), "zmod:", "zmod:m"),
         (("suslin", "--v", "1,,2", "--w", "1,2,3"), "1,,2", "c1,..,cn"),
         (("suslin", "--v", "1", "--w", "1 mod x", "--ring", "zmod:5"), "1 mod x", "n mod m"),
+        # JSON whose scalar or modulus does not parse, and text that is not JSON
+        ((*mul, "--space", '{"ring": "Z", "q": [["x"]]}', "--a", "1:1"), '{"ring": "Z", "q": [["x"]]}', "JSON"),
+        ((*mul, "--space", '{"ring": "Z/x", "q": [["1"]]}', "--a", "1:1"), '{"ring": "Z/x", "q": [["1"]]}', "JSON"),
+        ((*mul, "--space", '{"ring": "Q", "q": [["1/2/3"]]}', "--a", "1:1"), '{"ring": "Q", "q": [["1/2/3"]]}', "JSON"),
+        ((*mul, "--space", "{ring: Z}", "--a", "1:1"), "{ring: Z}", "JSON"),
+        ((*mul, "--space", "hyp:1", "--a", "{terms"), "{terms", "mask:coeff"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -467,6 +473,56 @@ def test_a_failing_report_is_pinned(monkeypatch):
     )
 
 
+def _bumped(real):  # entry (0, 0) one too high
+    from quadembed.scalars import ScalarMatrix
+
+    def defect(p):
+        s = real(p)
+        return s + ScalarMatrix(s.rows, s.cols, [1] + [0] * (len(s.values) - 1), s.ring)
+    return defect
+
+
+def test_failing_certificate_outputs_are_pinned(monkeypatch, capsys):
+    """The bytes a failing certificate reports, recorded before the
+    certificates returned plain data: `suslin/identities` and
+    `embedding/validate`, each run alone on a planted defect (the companion
+    matrix bumped at (0, 0); self-embeddings whose bar matrix is -I), and
+    `suslin --check` on the bumped companion, which exits 1."""
+    import quadembed.suslin as suslin
+    import quadembed.suites as suites
+    from quadembed.embedding import Embedding, clifford_self_embedding
+    from quadembed.scalars import ScalarMatrix, ZZ
+
+    def negated_bar(space):
+        e = clifford_self_embedding(space)
+        return Embedding(space, e.algebra, e.dim, e.rho, -ScalarMatrix.identity(space.rank, space.ring),
+                         e.involution, e.a_star)
+
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
+
+    cases = [
+        ("suslin", "identities", suslin, "suslin_bar", _bumped(suslin.suslin_bar),
+         "8265a6febd75475981445d659d234a3ee02adc5d84e2ef54a1af47d7fb7fcb15"),
+        ("embedding", "validate", suites, "clifford_self_embedding", negated_bar,
+         "86fc32835917e95538555125840b24015eb796791f47a5a35b6e1d2325bfeb25"),
+    ]
+    for suite, check, owner, attr, defect, want in cases:
+        with monkeypatch.context() as m:
+            m.setitem(suites._CHECKS, suite, [c for c in suites._CHECKS[suite] if c[0] == check])
+            m.setattr(owner, attr, defect)
+            report = suites.run_suite(suites.SuiteConfig(suite, samples=2, ring=ZZ))
+        assert not report["passed"], check
+        assert digest(report) == want, check
+    with monkeypatch.context() as m:
+        m.setattr(suslin, "suslin_bar", _bumped(suslin.suslin_bar))
+        code, out, err = run_cli(capsys, "suslin", "--v", "1,2", "--w", "3,4", "--check")
+    assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4ba88b759cfa9355823f75f77911ebf6aa8caa99b234674140c2b7704eb49822"
+    )
+
+
 def test_each_check_fails_on_a_planted_defect(monkeypatch):
     """Each check that a passing run never fails is run alone with one
     planted defect; `run_suite` records it as failed, naming the identity
@@ -475,14 +531,8 @@ def test_each_check_fails_on_a_planted_defect(monkeypatch):
     import quadembed.embedding as embedding
     import quadembed.suites as suites
     from quadembed.algmat import block2
-    from quadembed.scalars import ScalarMatrix, ZZ
+    from quadembed.scalars import ZZ
     from quadembed.spin import EvenPair
-
-    def bumped(real):  # entry (0, 0) one too high
-        def defect(p):
-            s = real(p)
-            return s + ScalarMatrix(s.rows, s.cols, [1] + [0] * (len(s.values) - 1), s.ring)
-        return defect
 
     def plus_left(real):  # x * y read as x y + x
         return lambda x, y: real(x, y) + x
@@ -507,9 +557,9 @@ def test_each_check_fails_on_a_planted_defect(monkeypatch):
     spin_cfg = suites.SuiteConfig("spin", samples=4, ring=ZZ)
     ctx = spin_cfg.spin_bed
     cases = [
-        ("suslin", "parity_law", None, suites, "suslin", bumped(suites.suslin)),
-        ("suslin", "bar_involution", None, suites, "suslin_bar", bumped(suites.suslin_bar)),
-        ("suslin", "linearity", None, suites, "suslin", bumped(suites.suslin)),
+        ("suslin", "parity_law", None, suites, "suslin", _bumped(suites.suslin)),
+        ("suslin", "bar_involution", None, suites, "suslin_bar", _bumped(suites.suslin_bar)),
+        ("suslin", "linearity", None, suites, "suslin", _bumped(suites.suslin)),
         ("clifford", "associativity", None, clifford.CliffordElement, "__mul__",
          plus_left(clifford.CliffordElement.__mul__)),
         ("clifford", "grading", None, clifford.CliffordElement, "__mul__",

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadembed.algmat import AlgMatrix, CliffordCoeffs
 from quadembed.clifford import (
     CliffordElement,
     CliffordRelationError,
@@ -372,7 +373,8 @@ def test_extend_universal_rejects_bad_images():
 
 def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
     """Each refusal raises its package error, or TypeError for an operand
-    that is no term map, as for any Python number; a tensor element
+    of another type (a term map or matrix and an int), as for any Python
+    number; a tensor element
     subtracts as a + (-b), and equal ones built over equal algebras hash
     alike."""
     h, d = hyperbolic(1, ZZ), diagonal_space([1], ZZ)
@@ -393,6 +395,10 @@ def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
         (TypeError, lambda: e1 * 2),
         (TypeError, lambda: alg.one() + 1),
         (TypeError, lambda: alg.one() - 1),
+        (TypeError, lambda: ScalarMatrix.identity(2, ZZ) + 1),
+        (TypeError, lambda: ScalarMatrix.identity(2, ZZ) - 1),
+        (TypeError, lambda: AlgMatrix(CliffordCoeffs(h), [[e1]]) + 1),
+        (TypeError, lambda: AlgMatrix(CliffordCoeffs(h), [[e1]]) - 1),
         (ShapeError, lambda: alg.one() + e1),
         (ShapeError, lambda: alg.one() - e1),
         (ShapeError, lambda: e1 - alg.one()),
@@ -425,6 +431,7 @@ def test_constructors_refuse_foreign_coefficients_and_masks():
         (ShapeError, "mask 9 is outside 0..3", lambda: CliffordElement(h, {9: ZZ(2)})),
         (ShapeError, "mask -1 is outside 0..3", lambda: CliffordElement(h, {-1: ZZ(2)})),
         (ShapeError, "mask 4 is outside 0..3", lambda: monomial(h, 4)),
+        (ShapeError, "mask True is outside 0..3", lambda: CliffordElement(h, {True: ZZ(1)})),
         (RingError, "not an element of Z", lambda: CliffordElement(h, {1: QQ(Fraction(1, 2))})),
         (RingError, "not an element of Z", lambda: CliffordElement(h, {1: 2})),
         (ShapeError, "mask 4 is outside 0..3", lambda: GradedTensorElement(alg, {(0, 4): ZZ(1)})),

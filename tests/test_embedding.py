@@ -47,9 +47,9 @@ def rand_vector(rng, space, bound=4):
 
 
 def test_validate_suslin_and_self_embeddings():
-    assert validate_embedding(suslin_embedding(2, ZZ)).passed
-    assert validate_embedding(suslin_embedding(3, ZZ)).passed
-    assert validate_embedding(clifford_self_embedding(hyperbolic(2, ZZ))).passed
+    assert validate_embedding(suslin_embedding(2, ZZ)) == []
+    assert validate_embedding(suslin_embedding(3, ZZ)) == []
+    assert validate_embedding(clifford_self_embedding(hyperbolic(2, ZZ))) == []
 
 
 def test_the_constructor_refuses_each_inconsistent_field():
@@ -85,8 +85,8 @@ def test_validate_rejects_zero_alpha():
         ScalarMatrix.zero(e.space.rank, e.space.rank, ZZ),
     )
     report = validate_embedding(broken)
-    assert not report.passed
-    assert report.failures
+    assert report != []
+    assert report
 
 
 def test_validate_rejects_dependent_basis_images():
@@ -103,8 +103,8 @@ def test_validate_rejects_dependent_basis_images():
         Embedding(zero, z4, 1, [ScalarMatrix.of_ints(z4, [[2]])], ScalarMatrix.identity(1, z4)),
     ):
         report = validate_embedding(e)
-        assert report.failures == ["the basis images are dependent over the ring"]
-        assert not report.passed
+        assert report == ["the basis images are dependent over the ring"]
+        assert report != []
 
 
 def test_build_phi_generator_squares():
@@ -418,7 +418,7 @@ def test_modular_ring_embedding():
 
     ring = Zmod(7)
     e = suslin_embedding(2, ring)
-    assert validate_embedding(e).passed
+    assert validate_embedding(e) == []
     rng = random.Random(6)
     for _ in range(20):
         v = [ring(rng.randrange(7)) for _ in range(4)]
@@ -461,7 +461,7 @@ def test_validation_is_kept_on_the_embedding():
     for e in (suslin_embedding(2, ZZ), suslin_embedding(3, Zmod(6)),
               clifford_self_embedding(hyperbolic(1, ZZ))):
         report = validate_embedding(e)
-        assert report.passed and validate_embedding(e) is report
+        assert report == [] and validate_embedding(e) is report
 
 
 def test_build_phi_checks_no_relations_beyond_validation(monkeypatch):
@@ -489,11 +489,11 @@ def test_a_perturbed_bar_column_fails_build_phi_with_the_validation_message():
     broken = Embedding(e.space, e.algebra, e.dim, e.rho, ScalarMatrix(n, n, bumped, ZZ),
                        e.involution, e.a_star)
     report = validate_embedding(broken)
-    assert not report.passed
+    assert report != []
     for _ in range(2):
         with pytest.raises(EmbeddingError) as err:
             build_phi(broken)
-        assert str(err.value) == f"embedding axioms fail: {report.failures}"
+        assert str(err.value) == f"embedding axioms fail: {report}"
     assert validate_embedding(broken) is report
 
 
@@ -513,5 +513,5 @@ def test_bar_map_form_checks_match_q_on_the_barred_basis():
             want += [f"bar map does not preserve <e{i+1},e{j+1}>"
                      for i in range(3) for j in range(i + 1, 3)
                      if space.bilinear(cols[i], cols[j]) != space.bilinear_generators(i, j)]
-            got = [f for f in validate_embedding(e).failures if f.startswith("bar map")]
+            got = [f for f in validate_embedding(e) if f.startswith("bar map")]
             assert got == want

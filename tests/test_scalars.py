@@ -97,6 +97,11 @@ def test_equality_agrees_with_hash():
 def test_mixed_ring_arithmetic_rejected():
     with pytest.raises(RingError):
         ZZ(1) + QQ(1)
+    # a plain int is no matrix: TypeError, as for m * 2
+    m = ScalarMatrix.identity(2, ZZ)
+    for call in (lambda: m + 1, lambda: m - 1):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_solve_examples():

@@ -204,16 +204,16 @@ def test_norm_is_multiplicative():
 def test_lemma_checks_seed_zero():
     ctx = ctx_q()
     reports = ctx.lemma_checks(0, 100)
-    assert [r.lemma for r in reports] == ["4.1", "4.2", "4.3", "4.4"]
+    assert [r["lemma"] for r in reports] == ["4.1", "4.2", "4.3", "4.4"]
     for r in reports:
-        assert r.passed, r.to_json()
+        assert r["failures"] == [], r
 
 
 def test_context_over_z_mod_m():
     for ring in (Zmod(6), Zmod(3)):
         ctx = SpinContext(suslin_embedding(3, ring))
         for r in ctx.lemma_checks(0, 10):
-            assert r.passed, (ring, r.to_json())
+            assert r["failures"] == [], (ring, r)
         rng = random.Random(4)
         for _ in range(10):
             pair = ctx.chi_inverse(ctx.sample_elementary_product(rng))
@@ -258,7 +258,7 @@ def test_unit_vector_case_of_translation_identity():
 
 def test_lemma_report_json_shape():
     ctx = ctx_q()
-    report = ctx.lemma_checks(1, 5)[3].to_json()
+    report = ctx.lemma_checks(1, 5)[3]
     assert report["lemma"] == "4.4"
     assert report["samples"] == 5
     assert report["failures"] == []
@@ -368,8 +368,8 @@ def test_membership_matches_the_doubled_matrix_definitions():
 
 def test_spin_context_builds_no_solver(monkeypatch):
     """On a certified bed the context builds no span solver: membership
-    solves on the embedding's `v_span` and, for the even image, on its
-    `even_span`, built once for the embedding and not per context."""
+    solves on the embedding's `v_span`, and the even image of the bijective
+    rank-6 bed needs no solve at all."""
     built = []
     real_init = scalars.SpanSolver.__init__
 
@@ -385,9 +385,9 @@ def test_spin_context_builds_no_solver(monkeypatch):
         assert built == []
         pair = ctx.chi_inverse(ctx.elementary(0, 2, 1))
         assert ctx.is_in_spin(pair) and ctx.conjugation_coords(pair, [1, 0, 0, 0, 0, 0]) is not None
-        assert built == [32]  # the even span, on the embedding
+        assert built == []  # phi is bijective, so no even span is built
         again = SpinContext(e)
-        assert again.is_in_spin(EvenPair(pair.g1, pair.g2)) and built == [32]
+        assert again.is_in_spin(EvenPair(pair.g1, pair.g2)) and built == []
         monkeypatch.undo()
         built.clear()
 
@@ -400,6 +400,16 @@ def rank_one_ctx():
         involution=InvolutionForm(1, ZZ(1)), a_star=lambda m: m,
     )
     return SpinContext(e)
+
+
+def test_the_even_image_is_solved_when_phi_is_not_bijective():
+    """On the rank-1 bed phi is not bijective: its even part is the scalars,
+    so diag(1, 1) is in the even image and diag(1, -1) is not."""
+    ctx = rank_one_ctx()
+    assert not ctx.phi.bijective
+    one = ScalarMatrix.identity(1, ZZ)
+    assert ctx.in_even_image(EvenPair(one, one))
+    assert not ctx.in_even_image(EvenPair(one, -one))
 
 
 class Hung(Exception):
