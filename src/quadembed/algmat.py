@@ -10,6 +10,7 @@ matrices are `AlgMatrix`).
 from __future__ import annotations
 
 import math
+from operator import add, sub
 
 from .clifford import cl_one, cl_scalar, cl_zero, pbw_basis
 from .qspace import QuadraticSpace
@@ -93,20 +94,20 @@ class AlgMatrix:
         if self.algebra != other.algebra:
             raise RingError("coefficient algebra mismatch")
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, AlgMatrix):
             return NotImplemented
         self._check(other)
         return AlgMatrix(
             self.algebra,
             [
-                [a + b for a, b in zip(r1, r2)]
+                [op(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
             ],
         )
 
     def __sub__(self, other):
-        return self + -other
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return AlgMatrix(self.algebra, [[-a for a in row] for row in self.entries])

@@ -18,15 +18,15 @@ from . import FAMILIES, RANK_LIMIT, SUITES
 
 def _read(what: str, text: str, form: str, parse, *args):
     """parse(*args) for one conversion (`int`, `parse_scalar` or a JSON
-    reader), with Python's own ValueError (int's or json's, say) replaced by
-    one naming the argument `text` and its form; package errors, the other
-    ValueError subclasses, pass."""
+    reader), with Python's own ValueError (int's or json's, say), or a
+    package error raised from one (malformed text), replaced by one naming
+    the argument `text` and its form; other package errors pass."""
     try:
         return parse(*args)
     except ValueError as err:
-        if type(err) not in (ValueError, json.JSONDecodeError):
-            raise
-        raise ValueError(f"cannot parse {what} {text!r}; use {form}") from None
+        if type(err) in (ValueError, json.JSONDecodeError) or isinstance(err.__cause__, ValueError):
+            raise ValueError(f"cannot parse {what} {text!r}; use {form}") from None
+        raise
 
 
 def _parse_ring(text: str | None):
@@ -168,8 +168,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+    if not 1 <= args.samples <= 10_000:
+        raise ValueError("--samples must be from 1 to 10,000")
     ring = _parse_ring(args.ring)
     from .suites import run_suites
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("--suite", required=True, choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100, help="1 to 10,000")
     p.add_argument("--ring", default=None)
     p.add_argument("--emit", default=None, help="also write the report to a file")
     p.set_defaults(fn=_cmd_verify)

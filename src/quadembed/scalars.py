@@ -10,7 +10,7 @@ import math
 from bisect import insort
 from fractions import Fraction
 from itertools import compress
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, sub
 
 
 _numerator = attrgetter("numerator")
@@ -200,8 +200,16 @@ def ring_from_name(name: str) -> Ring:
     if name == "Q":
         return QQ
     if name.startswith("Z/"):
-        return Zmod(int(name[2:]))
+        return Zmod(_int(name[2:], name, "Z, Q or Z/m"))
     raise RingError(f"unknown ring {name!r}")
+
+
+def _int(text: str, whole: str, form: str) -> int:
+    """int(text), or a RingError naming the text `whole` and its form."""
+    try:
+        return int(text)
+    except ValueError as err:
+        raise RingError(f"cannot parse {whole!r}; use {form}") from err
 
 
 def json_field(data, key: str, kind, owner: str):
@@ -287,24 +295,24 @@ class Scalar:
 
 
 def parse_scalar(text: str, ring: Ring) -> Scalar:
-    """Inverse of str(): accepts "-7", "3/4" and "5 mod 6" style strings.
-    A zero denominator or a modulus other than the ring's is refused."""
+    """Inverse of str(): accepts "-7", "3/4" and "5 mod 6" style strings;
+    anything else is refused with RingError, naming the text."""
     if not isinstance(text, str):
         raise RingError(f"scalar {text!r} is not a string")
     text = text.strip().replace("−", "-")
     if isinstance(ring, ModularRing):
         head, mod, modulus = text.partition("mod")
-        if mod and int(modulus) != ring.modulus:
+        if mod and _int(modulus, text, "n or n mod m") != ring.modulus:
             raise RingError(f"{text!r} is not an element of {ring.name}")
-        return ring(int(head))
+        return ring(_int(head, text, "n or n mod m"))
     if "/" in text:
         if ring is not QQ:
             raise RingError(f"{text!r} is not an element of {ring.name}")
-        num, den = text.split("/")
-        if not int(den):
+        num, den = (_int(x, text, "n or n/d") for x in text.split("/", 1))
+        if not den:
             raise RingError(f"{text!r} has a zero denominator")
-        return ring(Fraction(int(num), int(den)))
-    return ring(int(text))
+        return ring(Fraction(num, den))
+    return ring(_int(text, text, "n or n/d" if ring is QQ else "n"))
 
 
 def raw_row(x, ring: Ring) -> tuple[list[int] | tuple[int, ...], int]:
@@ -444,7 +452,7 @@ class ScalarMatrix:
             for at in (0, h, h * n, h * n + h)
         )
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, ScalarMatrix):
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
@@ -453,16 +461,16 @@ class ScalarMatrix:
             raise RingError("ring mismatch")
         da, db = self.den, other.den
         if da == db:
-            values = map(add, self.values, other.values)
+            values = map(op, self.values, other.values)
         else:
             den = math.lcm(da, db)
             fa, fb = den // da, den // db
-            values = [a * fa + b * fb for a, b in zip(self.values, other.values)]
+            values = [op(a * fa, b * fb) for a, b in zip(self.values, other.values)]
             da = den
         return ScalarMatrix(self.rows, self.cols, values, self.ring, da)
 
     def __sub__(self, other):
-        return self + -other
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return ScalarMatrix(self.rows, self.cols, [-v for v in self.values], self.ring, self.den)
@@ -680,13 +688,10 @@ def _howell_solve(rows, pivots, modulus: int, b: list[int], k: int) -> list[int]
 def solve_in_ring(a: ScalarMatrix, b) -> list[Scalar] | None:
     """Solve A x = b with x inside the ring of A, or return None.
 
-    One solve against the span of the columns of A (see SpanSolver): over Q
-    the solution with the free variables at zero, over Z and Z/m a solution
-    in the ring whenever one exists."""
-    b = list(b)
-    if len(b) != a.rows:
-        raise ShapeError("right-hand side length does not match row count")
-    return SpanSolver(a.transpose(), a.ring).solve(b)
+    One solve against the span of the columns of A, eliminated as the rows
+    [a_j | e_j] (see SpanSolver): over Q the solution with the free
+    coordinates at zero, over Z and Z/m one in the ring whenever one exists."""
+    return SpanSolver(a.transpose(), a.ring).solve(list(b))
 
 
 def rank_over_fractions(a) -> int:
@@ -827,80 +832,72 @@ def _unit_pivots(rows, m: int) -> tuple[int, list[list[int]]]:
 
 
 class SpanSolver:
-    """The span of column vectors over Z, Q or Z/m, for repeated solves.
+    """The span of vectors v_1..v_k over Z, Q or Z/m, for repeated solves.
 
-    Over Z and Q, fraction-free Gauss-Jordan on [I | A] (columns scaled to
-    integers) leaves T with T A = d R, R reduced, and a solve is one dot
-    product per row of T over the one denominator d.  Over Z the free part
-    x_F must then make the pivot rows y - N x_F divisible by d, a system
-    mod |d| solved on its Howell form.  Over Z/m a solve is a forward
-    substitution along the Howell form of [A^T | I].  `rank` counts pivots:
-    over Z and Q, the rank over the fraction field.  Spanning vectors and
-    targets are read by `_rows`: the rows of a ScalarMatrix, or vectors
-    `raw_row` reads, refused with RingError off `ring` or off the first
-    vector's coefficient algebra, and with ShapeError at unequal lengths."""
+    Every ring eliminates the rows [v_t | e_t], each vector scaled to
+    integers: Z/m by `_echelon`, a solve then substituting forward along
+    the Howell form, and Z and Q by Bareiss in Jordan mode on the first n
+    columns.  That leaves pivot rows [E_t | U_t], E_t holding d at its pivot
+    column c_t and 0 at the other pivot columns, and kernel rows [0 | K_s].
+    With z_t = b[c_t], b is in the span over Q exactly when d b[j] =
+    sum_t z_t E_t[j] at every non-pivot column j, and y = sum_t z_t U_t is
+    then d times a solution.  Over Z, U_t is supported on the vectors that
+    pivoted and K_s holds d at its own free vector and 0 at the other free
+    vectors, so every solution is (y + sum_s x_s K_s) / d, x_s its free
+    coordinates: an integral one exists exactly when sum_s x_s K_s = -y
+    (mod |d|) has a solution, which `_howell_solve` decides on the Howell
+    form of the rows [K_s mod |d| | e_s], built once when |d| > 1.  `rank`
+    counts pivots: over Z and Q, the rank over the fraction field.  Vectors
+    and targets are read, and refused, by `_rows`."""
 
-    def __init__(self, columns, ring: Ring):
-        cols, scales, self._algebra = _rows(columns, ring)
-        if not cols:
+    def __init__(self, vectors, ring: Ring):
+        vecs, scales, self._algebra = _rows(vectors, ring)
+        if not vecs:
             raise ShapeError("need at least one spanning vector")
         self.ring = ring
-        self.n = n = len(cols[0])
-        self.k = len(cols)
+        self.n = n = len(vecs[0])
+        self.k = k = len(vecs)
         self.pivots = []
+        rows = [list(v) + [int(i == j) for j in range(k)] for i, v in enumerate(vecs)]
+        self._howell = None
         if isinstance(ring, ModularRing):
-            self._rows = [
-                list(col) + [int(i == j) for j in range(self.k)] for i, col in enumerate(cols)
-            ]
-            self.pivots = _echelon(self._rows, n, ring.modulus)
+            self.pivots = _echelon(rows, n, ring.modulus)
+            self._howell = rows, self.pivots, ring.modulus
             return
         self._scales = scales
-        self._rows = [
-            [int(i == j) for j in range(n)] + [col[i] for col in cols]
-            for i in range(n)
-        ]
-        self._d, _ = _bareiss(self._rows, range(n, n + self.k), self.pivots)
-        if ring is ZZ:
-            # the free columns and the Howell form of their pivot rows mod |d|
-            r, m = self.rank, abs(self._d)
-            self._free = free = [j for j in range(n, n + self.k) if j not in self.pivots]
-            self._mod_rows = [
-                [row[j] % m for row in self._rows[:r]] + [int(i == f) for f in range(len(free))]
-                for i, j in enumerate(free)
+        self._d, _ = _bareiss(rows, range(n), self.pivots)
+        r, m = self.rank, abs(self._d)
+        # the pivot rows by column: E_t off the pivot columns, and U_t
+        self._checks = [(j, [row[j] for row in rows[:r]]) for j in range(n) if j not in self.pivots]
+        self._coords = [[row[j] for row in rows[:r]] for j in range(n, n + k)]
+        if ring is ZZ and m > 1:
+            self._kernel = [row[n:] for row in rows[r:]]
+            mod_rows = [
+                [x % m for x in kern] + [int(s == t) for t in range(k - r)]
+                for s, kern in enumerate(self._kernel)
             ]
-            self._mod_pivots = _echelon(self._mod_rows, r, m)
+            self._howell = mod_rows, _echelon(mod_rows, k, m), m
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _image(self, values) -> list[int]:
-        """T times an integer vector, over the vector's non-zero entries."""
-        nz = [j for j, v in enumerate(values) if v]
-        vs = [values[j] for j in nz]
-        return [sum(map(mul, map(row.__getitem__, nz), vs)) for row in self._rows]
-
     def solve(self, target) -> list[Scalar] | None:
         (b,), (den,), _ = _rows([target], self.ring, self._algebra)
         if len(b) != self.n:
             raise ShapeError("vector length does not match span vectors")
-        ring, r = self.ring, self.rank
-        if isinstance(ring, ModularRing):
-            x = _howell_solve(self._rows, self.pivots, ring.modulus, b, self.k)
-            return None if x is None else ScalarMatrix(1, self.k, x, ring).flatten()
-        ys = self._image(b)
-        if any(ys[r:]):
+        if isinstance(self.ring, ModularRing):
+            x = _howell_solve(*self._howell, b, self.k)
+            return None if x is None else ScalarMatrix(1, self.k, x, self.ring).flatten()
+        d, z = self._d, [b[c] for c in self.pivots]
+        if any(d * b[j] != sum(map(mul, z, col)) for j, col in self._checks):
             return None
-        x = [0] * self.k
-        den *= self._d  # x is held as integers over den
-        if ring is ZZ:
-            free = self._free
-            xf = _howell_solve(self._mod_rows, self._mod_pivots, abs(self._d), ys[:r], len(free))
-            if xf is None:
+        y = [sum(map(mul, z, col)) for col in self._coords]
+        if self._howell:
+            xs = _howell_solve(*self._howell, [-v for v in y], len(self._kernel))
+            if xs is None:
                 return None
-            for j, v in zip(free, xf):
-                x[j - self.n] = v * den
-                ys = [y - row[j] * v for y, row in zip(ys, self._rows)]
-        for y, c in zip(ys, self.pivots):
-            x[c - self.n] = y * self._scales[c - self.n]
-        return ScalarMatrix(1, self.k, x, ring, den).flatten()
+            for v, kern in zip(xs, self._kernel):
+                if v:
+                    y = [a + v * c for a, c in zip(y, kern)]
+        return ScalarMatrix(1, self.k, map(mul, y, self._scales), self.ring, den * d).flatten()

@@ -119,6 +119,9 @@ def test_bad_input_exits_2_with_one_line(capsys):
     for argv in (
         ("verify", "--suite", "catalog", "--samples", "0"),
         ("verify", "--suite", "catalog", "--samples", "-1"),
+        # more samples than the cap of 10,000: refused before any suite runs
+        ("verify", "--suite", "catalog", "--samples", "10001"),
+        ("verify", "--suite", "clifford", "--samples", "1000000"),
         ("clifford", "mul", "--space", "hyp:1", "--a", "9:1", "--b", "1:1"),
         ("clifford", "mul", "--space", "hyp:1", "--a", "1:1",
          "--b", '{"terms": [{"mask": -1, "coeff": "1"}]}'),
@@ -136,6 +139,8 @@ def test_bad_input_exits_2_with_one_line(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, err = run_cli(capsys, "verify", "--suite", "catalog", "--samples", "10000")
+    assert (code, err) == (0, "")
     # a rank above the monomial-mask cap names the cap; hyp:N and diag: are
     # refused before their rank**2 form is built, so rank 10**5 answers at once
     for space in ("hyp:7", "hyp:100000", "diag:" + ",".join("1" * 13),

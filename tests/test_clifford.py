@@ -441,6 +441,9 @@ def test_constructors_refuse_foreign_coefficients_and_masks():
         (RingError, "Scalars of one ring", lambda: ScalarMatrix.from_rows([[ZZ(1), 2]])),
         (RingError, "ring mismatch", lambda: ScalarMatrix.identity(2, ZZ).scale(2)),
         (RingError, "denominator is zero", lambda: ScalarMatrix(1, 1, [1], QQ, 0)),
+        # a matrix minus an int names -, not the + it had been computed as
+        (TypeError, "for -: 'ScalarMatrix' and 'int'", lambda: ScalarMatrix.identity(2, ZZ) - 1),
+        (TypeError, "for -: 'AlgMatrix' and 'int'", lambda: AlgMatrix(CliffordCoeffs(h), [[cl_one(h)]]) - 1),
     ]
     for error, text, call in refusals:
         with pytest.raises(error, match=text):

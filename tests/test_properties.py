@@ -287,6 +287,68 @@ def test_span_solver_solves_exactly_when_a_solution_exists(problem):
         assert solve_in_ring(a, boxed) == x
 
 
+def in_lattice(vectors, target) -> bool:
+    """Whether `target` is an integer combination of the integer `vectors`:
+    an echelon form of their rows over Z (Hermite's, without reducing above
+    the pivots) by Euclid's steps on each column, then the target reduced
+    along it, each coefficient forced by the pivot it meets."""
+    rows, echelon = [list(v) for v in vectors], []
+    for c in range(len(target)):
+        while len(live := [r for r in rows if r[c]]) > 1:
+            pivot = min(live, key=lambda r: abs(r[c]))
+            rows = [r if r is pivot else [x - r[c] // pivot[c] * p for x, p in zip(r, pivot)]
+                    for r in rows]
+        if live:
+            echelon.append((c, live[0]))
+            rows = [r for r in rows if r is not live[0]]
+    target = list(target)
+    for c, row in echelon:
+        q, rest = divmod(target[c], row[c])
+        if rest:
+            return False
+        target = [t - q * x for t, x in zip(target, row)]
+    return not any(target)
+
+
+@st.composite
+def deficient_z_spans(draw):
+    """Integer vectors, the last an integer combination of the others, and a
+    target: a combination of them, half of one when that is integral (in the
+    Q-span, often not in the Z-span), or any vector."""
+    length = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-3, 3), min_size=length, max_size=length)
+    base = draw(st.lists(vector, min_size=1, max_size=3))
+    vectors = base + [combination(draw(st.lists(st.integers(-2, 2), min_size=len(base),
+                                                max_size=len(base))), base, 0)]
+    kind = draw(st.sampled_from(("combination", "half", "any")))
+    if kind == "any":
+        return vectors, draw(st.lists(st.integers(-4, 4), min_size=length, max_size=length))
+    xs = draw(st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))
+    target = combination(xs, vectors, 0)
+    if kind == "half" and not any(t % 2 for t in target):
+        target = [t // 2 for t in target]
+    return vectors, target
+
+
+def test_the_lattice_oracle_on_worked_cases():
+    assert in_lattice([[2], [3]], [1]) and not in_lattice([[2], [4]], [1])
+    assert not in_lattice([[2, 0, 2], [0, 2, 2], [2, 2, 4]], [1, 1, 2])
+    assert in_lattice([[2, 0, 2], [0, 2, 2], [2, 2, 4]], [2, -2, 0])
+    assert in_lattice([[0, 0]], [0, 0]) and not in_lattice([[0, 0]], [0, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(deficient_z_spans())
+def test_span_solver_over_z_decides_lattice_membership(case):
+    """On rank-deficient Z spans a solution exists exactly when the target
+    is in the lattice, and every solution substitutes back."""
+    vectors, target = case
+    x = SpanSolver([[ZZ(v) for v in vec] for vec in vectors], ZZ).solve([ZZ(t) for t in target])
+    if x is not None:
+        assert combination([s.value for s in x], vectors, 0) == target
+    assert (x is not None) is in_lattice(vectors, target)
+
+
 @st.composite
 def spoiled_families(draw):
     """Vectors as lists of Scalars, a copy with one vector spoiled, and the

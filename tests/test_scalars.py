@@ -71,6 +71,32 @@ def test_parse_scalar_refuses_what_it_cannot_read_exactly():
     assert parse_scalar(" 11 ", Zmod(6)) == Zmod(6)(5)
 
 
+def test_malformed_text_is_a_ring_error_naming_the_text_and_its_form():
+    """Text that is no scalar or ring name raised Python's bare ValueError
+    (int's words, or "too many values to unpack"); now a RingError names the
+    text and the form it should take, through the JSON readers too."""
+    from quadembed.qspace import QuadraticSpace
+    from quadembed.scalars import ring_from_name
+
+    for call, text, form in (
+        (lambda: parse_scalar("1/2/3", QQ), "1/2/3", "n/d"),
+        (lambda: parse_scalar("1/", QQ), "1/", "n/d"),
+        (lambda: parse_scalar("x", ZZ), "x", "n"),
+        (lambda: parse_scalar("x", QQ), "x", "n/d"),
+        (lambda: parse_scalar("3 mod x", Zmod(6)), "3 mod x", "n mod m"),
+        (lambda: parse_scalar("x mod 6", Zmod(6)), "x mod 6", "n mod m"),
+        (lambda: ring_from_name("Z/x"), "Z/x", "Z/m"),
+        (lambda: ring_from_name("Z/"), "Z/", "Z/m"),
+        (lambda: ScalarMatrix.from_json([["1/2/3"]], QQ), "1/2/3", "n/d"),
+        (lambda: QuadraticSpace.from_json({"ring": "Z", "q": [["x"]]}), "x", "n"),
+        (lambda: QuadraticSpace.from_json({"ring": "Z/x", "q": [["1"]]}), "Z/x", "Z/m"),
+    ):
+        with pytest.raises(RingError) as err:
+            call()
+        named, _, use = str(err.value).partition("; use ")
+        assert repr(text) in named and form in use, err.value
+
+
 def test_rational_canonical_form():
     s = QQ(Fraction(4, -6))
     assert s.value == Fraction(-2, 3)
@@ -102,6 +128,26 @@ def test_mixed_ring_arithmetic_rejected():
     for call in (lambda: m + 1, lambda: m - 1):
         with pytest.raises(TypeError):
             call()
+
+
+def test_matrices_subtract_without_negating_the_operand(monkeypatch):
+    """`a - b` had computed `a + -b`, building the negation of b as a whole
+    matrix first; now it subtracts entry by entry."""
+    from quadembed.algmat import AlgMatrix, CliffordCoeffs
+    from quadembed.clifford import monomial
+    from quadembed.qspace import hyperbolic
+
+    half, third = QQ(Fraction(1, 2)), QQ(Fraction(1, 3))
+    a = ScalarMatrix.from_rows([[half, QQ(1)], [QQ(0), QQ(3)]])
+    b = ScalarMatrix.from_rows([[third, QQ(-1)], [QQ(2), QQ(3)]])
+    h = hyperbolic(1, ZZ)
+    e1, e2 = monomial(h, 1), monomial(h, 2)
+    x, y = AlgMatrix(CliffordCoeffs(h), [[e1]]), AlgMatrix(CliffordCoeffs(h), [[e2]])
+    for cls in (ScalarMatrix, AlgMatrix):
+        monkeypatch.setattr(cls, "__neg__", lambda self: pytest.fail("negated an operand"))
+    assert a - b == ScalarMatrix.from_rows([[QQ(Fraction(1, 6)), QQ(2)], [QQ(-2), QQ(0)]])
+    assert b - b == ScalarMatrix.zero(2, 2, QQ)
+    assert x - y == AlgMatrix(CliffordCoeffs(h), [[e1 - e2]])
 
 
 def test_solve_examples():
@@ -689,6 +735,49 @@ def test_span_solver_z_solves_run_no_echelon(monkeypatch):
         assert a.apply(solver.solve(b)) == b
     assert solver.solve(ints(ZZ, [1, 0])) is None
     assert calls == []
+
+
+# Worked solves over Z for the integrality step: the spanning vectors, the
+# target, and whether an integral solution exists.
+Z_WORKED_CASES = [
+    ([[2]], [-5], False),  # full rank, |d| = 2, no kernel rows
+    ([[2], [3]], [1], True),  # 2x + 3y = 1
+    ([[2], [4]], [1], False),  # 2x + 4y = 1
+    ([[2, 0], [4, 6], [3, 3]], [1, -3], True),  # [[2, 4, 3], [0, 6, 3]] x = (1, -3)
+    # rank 2 of 3 with |d| = 4: (v1 + v2) / 2 is in the Q-span, not the Z-span
+    ([[2, 0, 2], [0, 2, 2], [2, 2, 4]], [1, 1, 2], False),
+]
+
+
+def z_worked_case_holds(vectors, target, solvable) -> bool:
+    """Whether the Z solve answers as the case says, an answer checked by
+    substituting it back; an exception is a wrong answer."""
+    try:
+        x = SpanSolver([ints(ZZ, v) for v in vectors], ZZ).solve(ints(ZZ, target))
+    except RingError:
+        return False
+    if x is None:
+        return not solvable
+    back = [sum(c.value * v[i] for c, v in zip(x, vectors)) for i in range(len(target))]
+    return solvable and back == target
+
+
+def test_span_solver_z_worked_cases():
+    for case in Z_WORKED_CASES:
+        assert z_worked_case_holds(*case), case
+    vectors, target, _ = Z_WORKED_CASES[-1]
+    solver = SpanSolver([ints(ZZ, v) for v in vectors], ZZ)
+    assert solver.rank == 2 and abs(solver._d) > 1
+    assert SpanSolver([ints(QQ, v) for v in vectors], QQ).solve(ints(QQ, target)) is not None
+
+
+def test_span_solver_z_worked_cases_catch_a_dropped_integrality_step(monkeypatch):
+    """With the mod |d| step planted away (every free coordinate 0), some
+    worked case must answer wrongly."""
+    import quadembed.scalars as scalars
+
+    monkeypatch.setattr(scalars, "_howell_solve", lambda rows, pivots, m, b, k: [0] * k)
+    assert not all(z_worked_case_holds(*case) for case in Z_WORKED_CASES)
 
 
 def test_shape_errors():
