@@ -4,15 +4,17 @@ entries.
 
 A coefficient algebra is either a `Ring` (entries are scalars, matrices are
 `ScalarMatrix`) or a `CliffordCoeffs` (entries are Clifford elements,
-matrices are `AlgMatrix`).
+matrices are `AlgMatrix`).  An `AlgMatrix` is a term map, keyed (i, j, mask)
+for the coefficient of e_mask in entry (i, j), so `clifford._TermMap` gives
+it +, -, scale, == and hash; its product runs `_horner` on raw entries.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add, sub
+from itertools import product
 
-from .clifford import cl_one, cl_scalar, cl_zero, pbw_basis
+from .clifford import CliffordElement, _horner, _TermMap, cl_zero, pbw_basis
 from .qspace import QuadraticSpace
 from .scalars import (
     Ring,
@@ -40,132 +42,110 @@ class CliffordCoeffs(_Value):
     def zero(self):
         return cl_zero(self.space)
 
-    def one(self):
-        return cl_one(self.space)
 
+class AlgMatrix(_TermMap):
+    """A square matrix with entries in a Clifford algebra, stored as
+    (i, j, mask) -> the coefficient of e_mask in entry (i, j)."""
 
-class AlgMatrix:
-    """A square matrix with entries in a Clifford algebra."""
-
-    __slots__ = ("dim", "algebra", "entries")
+    __slots__ = ("algebra", "terms", "dim")
 
     def __init__(self, algebra: CliffordCoeffs, rows):
-        entries = tuple(tuple(row) for row in rows)
-        dim = len(entries)
-        for row in entries:
-            if len(row) != dim:
+        rows = [tuple(row) for row in rows]
+        space, terms = algebra.space, {}
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
                 raise ShapeError("matrix must be square")
-        self.dim = dim
-        self.algebra = algebra
-        self.entries = entries
+            for j, a in enumerate(row):
+                if not isinstance(a, CliffordElement) or a.space is not space and a.space != space:
+                    raise RingError(f"entry {a!r} at {(i, j)} is not in the matrices' algebra")
+                terms.update(((i, j, m), c) for m, c in a.terms.items())
+        self.algebra, self.dim, self.terms = algebra, len(rows), terms
+
+    @classmethod
+    def _of(cls, algebra, dim: int, terms: dict) -> "AlgMatrix":
+        """The matrix of checked, non-zero terms, built unchecked."""
+        out = object.__new__(cls)
+        out.algebra, out.dim, out.terms = algebra, dim, terms
+        return out
+
+    def _new(self, terms: dict) -> "AlgMatrix":
+        return self._of(self.algebra, self.dim, {k: c for k, c in terms.items() if not c.is_zero})
 
     @classmethod
     def identity(cls, algebra, dim: int) -> "AlgMatrix":
-        one, zero = algebra.one(), algebra.zero()
-        return cls(algebra, [[one if i == j else zero for j in range(dim)] for i in range(dim)])
+        return cls._of(algebra, dim, {(i, i, 0): algebra.ring.one for i in range(dim)})
 
     @classmethod
     def zero(cls, algebra, dim: int) -> "AlgMatrix":
-        z = algebra.zero()
-        return cls(algebra, [[z] * dim for _ in range(dim)])
+        return cls._of(algebra, dim, {})
 
     @staticmethod
     def from_scalar_matrix(m: ScalarMatrix) -> ScalarMatrix:
-        """`m` itself, after checking it is square.  Scalar entries live in
-        `ScalarMatrix`; this stays only for the benchmark's workloads
-        (bench/workloads.py), which still call it."""
+        """`m` itself, after checking it is square: scalar entries live in
+        `ScalarMatrix`.  `lift_scalar_matrix` and the benchmark's workloads
+        (bench/workloads.py) call it."""
         if m.rows != m.cols:
             raise ShapeError("matrix must be square")
         return m
 
+    def entry(self, i: int, j: int) -> CliffordElement:
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"entry {(i, j)} is outside a {self.dim}x{self.dim} matrix")
+        space, terms = self.algebra.space, self.terms
+        cell = {m: terms[i, j, m] for m in range(1 << space.rank) if (i, j, m) in terms}
+        return CliffordElement(space, cell)
+
+    def row(self, i: int) -> tuple:
+        return tuple(self.entry(i, j) for j in range(self.dim))
+
     @property
-    def ring(self) -> Ring:
-        return self.algebra.ring
+    def entries(self) -> tuple:
+        return tuple(self.row(i) for i in range(self.dim))
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
-
-    def _check(self, other: "AlgMatrix"):
+    def _check(self, other):
+        if self._owner is not other._owner and self._owner != other._owner:
+            raise RingError("coefficient algebra mismatch")
         if self.dim != other.dim:
             raise ShapeError("dimension mismatch")
-        if self.algebra != other.algebra:
-            raise RingError("coefficient algebra mismatch")
 
-    def __add__(self, other, op=add):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        self._check(other)
-        return AlgMatrix(
-            self.algebra,
-            [
-                [op(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+    def __mul__(self, other):  # its own entry, which bench/tracer.py wraps
+        return _TermMap.__mul__(self, other)
 
-    def __sub__(self, other):
-        return self.__add__(other, sub)
+    def _product(self, x: dict, y: dict) -> dict:
+        """Entry (i, j) sums a_ik b_kj over the non-zero a_ik and b_kj."""
+        space, a, b, acc = self.algebra.space, _cells(x), _cells(y), {}
+        for i, row in a.items():
+            for k, aik in row.items():
+                for j, bkj in b.get(k, {}).items():
+                    for m, v in _horner(space, aik, bkj).items():
+                        acc[i, j, m] = acc.get((i, j, m), 0) + v
+        return acc
 
-    def __neg__(self):
-        return AlgMatrix(self.algebra, [[-a for a in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        self._check(other)
-        # each row sums a_ik b_kj over its non-zero a_ik and the non-zero b_kj of row k
-        zero = self.algebra.zero()
-        nonzero = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [None] * self.dim
-            for a, bs in zip(row, nonzero):
-                if a.terms:
-                    for j, b in bs:
-                        acc[j] = a * b if acc[j] is None else acc[j] + a * b
-            out.append([zero if c is None else c for c in acc])
-        return AlgMatrix(self.algebra, out)
-
-    def scale(self, s: Scalar) -> "AlgMatrix":
-        return AlgMatrix(self.algebra, [[a.scale(s) for a in row] for row in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgMatrix):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.algebra == other.algebra
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.entries))
+    def _keys(self):
+        """Every (i, j, mask), row major and in mask order within an entry."""
+        return product(range(self.dim), range(self.dim), range(1 << self.algebra.space.rank))
 
     def flatten(self) -> list[Scalar]:
         """Row-major concatenation of the entries' coefficient vectors."""
-        return [c for row in self.entries for a in row for c in a.coefficients()]
+        zero = self.ring.zero
+        return [self.terms.get(k, zero) for k in self._keys()]
 
     def raw_values(self) -> list:
         """The values of `flatten()`, read from the terms; absent ones are 0."""
-        masks = range(1 << self.algebra.space.rank)
-        return [a.terms[m].value if m in a.terms else 0 for row in self.entries for a in row for m in masks]
+        return [self.terms[k].value if k in self.terms else 0 for k in self._keys()]
 
     def blocks2(self):
         """Split an even-dimensional matrix into its four half-size blocks."""
         h, odd = divmod(self.dim, 2)
         if odd:
             raise ShapeError("need an even dimension")
-        return tuple(
-            AlgMatrix(self.algebra, [row[c0 : c0 + h] for row in self.entries[r0 : r0 + h]])
-            for r0 in (0, h)
-            for c0 in (0, h)
-        )
+        blocks = ({}, {}, {}, {})
+        for (i, j, m), c in self.terms.items():
+            blocks[2 * (i >= h) + (j >= h)][i % h, j % h, m] = c
+        return tuple(self._of(self.algebra, h, t) for t in blocks)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.entries for a in row)
+        return not self.terms
 
     def to_json(self):
         return [
@@ -176,6 +156,17 @@ class AlgMatrix:
 
     def __repr__(self):
         return f"AlgMatrix(dim={self.dim}, algebra=clifford)"
+
+
+AlgMatrix._owner = AlgMatrix.algebra  # the same slot, read by _TermMap
+
+
+def _cells(raw: dict) -> dict:
+    """Raw (i, j, mask) terms as {i: {j: {mask: value}}}."""
+    out: dict = {}
+    for (i, j, m), v in raw.items():
+        out.setdefault(i, {}).setdefault(j, {})[m] = v
+    return out
 
 
 def matrix_json(m) -> dict:
@@ -204,8 +195,10 @@ def block2(a, b, c, d):
                 values += [v * fl for v in left.values[i : i + dim]]
                 values += [v * fr for v in right.values[i : i + dim]]
         return ScalarMatrix(2 * dim, 2 * dim, values, a.ring, den)
-    rows = [a.row(i) + b.row(i) for i in range(dim)] + [c.row(i) + d.row(i) for i in range(dim)]
-    return AlgMatrix(a.algebra, rows)
+    terms = {}
+    for m, (di, dj) in zip((a, b, c, d), ((0, 0), (0, dim), (dim, 0), (dim, dim))):
+        terms.update(((i + di, j + dj, k), v) for (i, j, k), v in m.terms.items())
+    return AlgMatrix._of(a.algebra, 2 * dim, terms)
 
 
 def parity_of_block_matrix(m) -> int | None:
@@ -231,15 +224,9 @@ def algebra_basis(algebra, dim: int) -> list:
     if isinstance(algebra, Ring):
         units = range(dim * dim)
         return [ScalarMatrix(dim, dim, [int(k == t) for k in units], algebra) for t in units]
-    zero, entry_basis = algebra.zero(), pbw_basis(algebra.space)
-    out = []
-    for i in range(dim):
-        for j in range(dim):
-            for e in entry_basis:
-                rows = [[zero] * dim for _ in range(dim)]
-                rows[i][j] = e
-                out.append(AlgMatrix(algebra, rows))
-    return out
+    entry_basis = pbw_basis(algebra.space)
+    return [AlgMatrix._of(algebra, dim, {(i, j, m): c for m, c in e.terms.items()})
+            for i in range(dim) for j in range(dim) for e in entry_basis]
 
 
 def lift_scalar_matrix(m: ScalarMatrix, algebra):
@@ -251,6 +238,6 @@ def lift_scalar_matrix(m: ScalarMatrix, algebra):
         return m
     if m.ring is not algebra.ring:
         raise RingError("ring mismatch")
-    return AlgMatrix(
-        algebra, [[cl_scalar(algebra.space, e) for e in m.row(i)] for i in range(m.rows)]
-    )
+    dim = AlgMatrix.from_scalar_matrix(m).rows
+    terms = {(i, j, 0): c for i in range(dim) for j, c in enumerate(m.row(i)) if not c.is_zero}
+    return AlgMatrix._of(algebra, dim, terms)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 
 from . import RANK_LIMIT
 from .qspace import QuadraticSpace, orthogonal_sum
-from .scalars import ZZ, RingError, Scalar, ShapeError, is_unimodular, rank_in_ring, raw_row
+from .scalars import ZZ, RingError, Scalar, ShapeError, _Value, is_unimodular, rank_in_ring, raw_row
 
 
 class CliffordRelationError(ValueError):
@@ -25,15 +26,18 @@ class CliffordRelationError(ValueError):
         self.pair = (i, j)
 
 
-class _TermMap:
+class _TermMap(_Value):
     """A finitely supported map key -> non-zero scalar over an owner, a
-    Clifford space or a tensor algebra, whose `ring` holds the scalars.
+    Clifford space, a tensor algebra or a coefficient algebra, whose `ring`
+    holds the scalars.  Two are equal when their types and slots agree.
 
     A subclass declares the owner and `terms` slots, aliases the owner's
     slot descriptor as `_owner`, names its `_mismatch` error and gives
     `_check_key` and `_product`, the raw kernel on {key: int or Fraction}
-    maps.  The constructor checks every key and coefficient; `_new` builds
-    the results of `+`, `-`, `scale` and `*` from checked terms unchecked."""
+    maps; `AlgMatrix` has its own constructor, which checks every entry,
+    and its own `_check`, which compares dimensions too.  The constructor
+    checks every key and coefficient; `_new` builds the results of `+`,
+    `-`, `scale` and `*` from checked terms unchecked."""
 
     __slots__ = ()
 
@@ -55,18 +59,18 @@ class _TermMap:
         if self._owner is not other._owner and self._owner != other._owner:
             raise ShapeError(self._mismatch)
 
-    def __add__(self, other):
+    def __add__(self, other, op=add):
         if not isinstance(other, _TermMap):
             return NotImplemented
         self._check(other)
         acc = dict(self.terms)
         for k, c in other.terms.items():
             cur = acc.get(k)
-            acc[k] = c if cur is None else cur + c
+            acc[k] = (c if op is add else -c) if cur is None else op(cur, c)
         return self._new(acc)
 
     def __sub__(self, other):
-        return self + (-other) if isinstance(other, _TermMap) else NotImplemented
+        return self.__add__(other, sub)
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
@@ -91,11 +95,6 @@ class _TermMap:
         self._check(other)
         (x, da), (y, db) = self._raw(), other._raw()
         return self._box(self._product(x, y), da * db)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._owner == other._owner and self.terms == other.terms
 
     def __hash__(self):
         return hash((self._owner, frozenset(self.terms.items())))
@@ -223,10 +222,6 @@ def cl_zero(space: QuadraticSpace) -> CliffordElement:
 
 def cl_one(space: QuadraticSpace) -> CliffordElement:
     return CliffordElement(space, {0: space.ring.one})
-
-
-def cl_scalar(space: QuadraticSpace, s: Scalar) -> CliffordElement:
-    return CliffordElement(space, {0: s})
 
 
 def monomial(space: QuadraticSpace, mask: int) -> CliffordElement:

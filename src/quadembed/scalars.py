@@ -205,11 +205,13 @@ def ring_from_name(name: str) -> Ring:
 
 
 def _int(text: str, whole: str, form: str) -> int:
-    """int(text), or a RingError naming the text `whole` and its form."""
-    try:
+    """int(text) for ASCII digits after an optional "-", as str() writes an
+    int, or a RingError naming the text `whole` and its form, raised from a
+    ValueError, which the CLI reads as malformed text."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
         return int(text)
-    except ValueError as err:
-        raise RingError(f"cannot parse {whole!r}; use {form}") from err
+    raise RingError(f"cannot parse {whole!r}; use {form}") from ValueError(text)
 
 
 def json_field(data, key: str, kind, owner: str):
@@ -301,7 +303,7 @@ def parse_scalar(text: str, ring: Ring) -> Scalar:
         raise RingError(f"scalar {text!r} is not a string")
     text = text.strip().replace("−", "-")
     if isinstance(ring, ModularRing):
-        head, mod, modulus = text.partition("mod")
+        head, mod, modulus = text.partition(" mod ")
         if mod and _int(modulus, text, "n or n mod m") != ring.modulus:
             raise RingError(f"{text!r} is not an element of {ring.name}")
         return ring(_int(head, text, "n or n mod m"))

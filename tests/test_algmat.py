@@ -268,3 +268,43 @@ def test_vectors_of_another_clifford_algebra_are_refused():
             rank_in_ring([a, b], ZZ)
         assert SpanSolver([a], ZZ).solve(a) == [ZZ(1)]
         assert rank_in_ring([a, a.scale(ZZ(2))], ZZ) == 1
+
+
+def test_clifford_entry_matrices_compare_only_with_their_own_kind():
+    """An AlgMatrix is a term map keyed (i, j, mask): == compares its
+    dimension too and answers False, never an error, for another type;
+    equal matrices built two ways hash alike."""
+    space = hyperbolic(1, ZZ)
+    alg = CliffordCoeffs(space)
+    e1, e2 = monomial(space, 1), monomial(space, 2)
+    m = AlgMatrix(alg, [[e1]])
+    for other in (1, ScalarMatrix.identity(1, ZZ), e1, AlgMatrix(alg, [[e1, e2], [e2, e1]])):
+        assert (m == other) is False and (other == m) is False
+        assert m != other and other != m
+    assert AlgMatrix.zero(alg, 2) != AlgMatrix.zero(alg, 3)
+    assert AlgMatrix.zero(alg, 2) == AlgMatrix(alg, [[alg.zero()] * 2] * 2)
+    zero = AlgMatrix.zero(alg, 1)
+    direct = AlgMatrix(alg, [[e1, alg.zero()], [e2, e1 + e2]])
+    blocked = block2(m, zero, AlgMatrix(alg, [[e2]]), AlgMatrix(alg, [[e1 + e2]]))
+    assert direct == blocked and hash(direct) == hash(blocked)
+    assert len({direct, blocked, m}) == 2
+
+
+def test_clifford_entry_product_runs_on_raw_terms(monkeypatch):
+    """The product multiplies raw entries by Horner's rule and boxes once,
+    so it never calls the element product; checked by hand on
+    Cl(diag(-1, 1)), where e1 e1 = -1, e2 e2 = 1 and e2 e1 = -e1 e2."""
+    space = diagonal_space([-1, 1], ZZ)
+    alg = CliffordCoeffs(space)
+
+    def cl(terms):
+        return CliffordElement(space, {m: ZZ(c) for m, c in terms.items()})
+
+    a = AlgMatrix(alg, [[cl({1: 2}), cl({0: 3})], [cl({}), cl({2: 1})]])
+    b = AlgMatrix(alg, [[cl({1: 1}), cl({2: 1})], [cl({0: 1}), cl({1: 1})]])
+    monkeypatch.setattr(CliffordElement, "__mul__", lambda x, y: pytest.fail("boxed entry product"))
+    want = [[cl({0: 1}), cl({3: 2, 1: 3})], [cl({2: 1}), cl({3: -1})]]
+    assert a * b == AlgMatrix(alg, want)
+    assert (a * b).entries == tuple(map(tuple, want))
+    with pytest.raises(IndexError):
+        a.entry(0, 2)

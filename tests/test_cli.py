@@ -629,7 +629,9 @@ def test_cli_output_digests_are_pinned(capsys):
     """The other fast CLI outputs, byte for byte, against digests recorded
     before the Clifford product became a fold of generator actions, and for
     the dense rank-5 product (nine terms each, most sharing e1 e2) before
-    the fold became Horner's rule on shared prefixes."""
+    the fold became Horner's rule on shared prefixes.  The Clifford-entry
+    catalogs over Q and Z/6 were recorded before `AlgMatrix` became a term
+    map with its own raw product."""
     want = [
         (("suslin", "--v", "1,2", "--w", "3,4", "--bar", "--check"),
          "61247dd38e3ef7033e076d4e83e72368c524cd9198bf07275f50129515ce643f"),
@@ -645,6 +647,22 @@ def test_cli_output_digests_are_pinned(capsys):
          "dd5d7c520ae7d5952fe545707e146f861bb2ddb8424dfeff62791dc7f9c754b8"),
         (("catalog", "--family", "even2n2", "--n", "2"),
          "81996c466e9d07e930d3a05b0f613539bb1dd182c5a18e0d804ce51f034d06d1"),
+        (("catalog", "--family", "odd2n1", "--n", "1", "--ring", "q"),
+         "d7f9dbaabc1adddc86e29a69cce6e3cf687ef9738c2d3f18f582a585918faaf3"),
+        (("catalog", "--family", "odd2n1", "--n", "1", "--ring", "zmod:6"),
+         "445aa6b4ab897b4a2ea23c8329a1a349f20a7bee38b2af29da5a961de65b78e5"),
+        (("catalog", "--family", "odd2n1", "--n", "2", "--ring", "q"),
+         "8e0a220aaf79550897e7d5a0a5fef2f8d7ea3690969d8c86e8ee1f2f48c4d5f8"),
+        (("catalog", "--family", "odd2n1", "--n", "2", "--ring", "zmod:6"),
+         "4be9d8716fc389df0bf56137cf46d0a90b0f7147687681f63c2562ec5ccdb310"),
+        (("catalog", "--family", "even2n2", "--n", "1", "--ring", "q"),
+         "c49e2f1e22cdd959d2d840fa7377c99a80e8712302f1b5ccfb403f53a10290d5"),
+        (("catalog", "--family", "even2n2", "--n", "1", "--ring", "zmod:6"),
+         "44e6ba2391608b8be3204a2e8db1d7ef930a89d031d383946167c16fae9fc5fc"),
+        (("catalog", "--family", "even2n2", "--n", "2", "--ring", "q"),
+         "dca15902879ff51fccb41c0173497402689cfad9a6243af59dc6a639d37176f5"),
+        (("catalog", "--family", "even2n2", "--n", "2", "--ring", "zmod:6"),
+         "9d7bec7a691594037610bae68a77043c9b8528dd248c046950229fc02e6035ee"),
         (("derive-j", "--n", "1"),
          "5e1dc3399155ae5f20379bcedc6b90c6545c52b065761434ac841d4d0cb93001"),
         (("derive-j", "--n", "2"),

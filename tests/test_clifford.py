@@ -374,9 +374,8 @@ def test_extend_universal_rejects_bad_images():
 def test_term_maps_refuse_foreign_operands_and_keep_their_laws():
     """Each refusal raises its package error, or TypeError for an operand
     of another type (a term map or matrix and an int), as for any Python
-    number; a tensor element
-    subtracts as a + (-b), and equal ones built over equal algebras hash
-    alike."""
+    number; for tensor elements a - b equals a + (-b), and equal ones built
+    over equal algebras hash alike."""
     h, d = hyperbolic(1, ZZ), diagonal_space([1], ZZ)
     e1, e2, f = monomial(h, 1), monomial(h, 2), monomial(d, 1)
     alg, flipped = GradedTensorAlgebra(h, d), GradedTensorAlgebra(d, h)
@@ -444,6 +443,11 @@ def test_constructors_refuse_foreign_coefficients_and_masks():
         # a matrix minus an int names -, not the + it had been computed as
         (TypeError, "for -: 'ScalarMatrix' and 'int'", lambda: ScalarMatrix.identity(2, ZZ) - 1),
         (TypeError, "for -: 'AlgMatrix' and 'int'", lambda: AlgMatrix(CliffordCoeffs(h), [[cl_one(h)]]) - 1),
+        # an entry must be an element of the matrices' own Clifford algebra
+        (RingError, r"entry 1 : Z at \(0, 0\)", lambda: AlgMatrix(CliffordCoeffs(h), [[ZZ(1)]])),
+        (RingError, r"entry 1 at \(0, 0\)", lambda: AlgMatrix(CliffordCoeffs(h), [[1]])),
+        (RingError, r"entry \(1\)\*e1 at \(0, 0\)",
+         lambda: AlgMatrix(CliffordCoeffs(h), [[monomial(diagonal_space([-1], ZZ), 1)]])),
     ]
     for error, text, call in refusals:
         with pytest.raises(error, match=text):

@@ -90,6 +90,11 @@ def test_malformed_text_is_a_ring_error_naming_the_text_and_its_form():
         (lambda: ScalarMatrix.from_json([["1/2/3"]], QQ), "1/2/3", "n/d"),
         (lambda: QuadraticSpace.from_json({"ring": "Z", "q": [["x"]]}), "x", "n"),
         (lambda: QuadraticSpace.from_json({"ring": "Z/x", "q": [["1"]]}), "Z/x", "Z/m"),
+        # text str() never writes, which int() had read as a number
+        (lambda: parse_scalar("1_000", ZZ), "1_000", "n"),
+        (lambda: parse_scalar("１２", ZZ), "１２", "n"),
+        (lambda: parse_scalar("1 / 2", QQ), "1 / 2", "n/d"),
+        (lambda: ring_from_name("Z/1_2"), "Z/1_2", "Z/m"),
     ):
         with pytest.raises(RingError) as err:
             call()
@@ -132,9 +137,10 @@ def test_mixed_ring_arithmetic_rejected():
 
 def test_matrices_subtract_without_negating_the_operand(monkeypatch):
     """`a - b` had computed `a + -b`, building the negation of b as a whole
-    matrix first; now it subtracts entry by entry."""
+    matrix first; now it subtracts entry by entry, and term maps (Clifford
+    elements too) term by term."""
     from quadembed.algmat import AlgMatrix, CliffordCoeffs
-    from quadembed.clifford import monomial
+    from quadembed.clifford import CliffordElement, monomial
     from quadembed.qspace import hyperbolic
 
     half, third = QQ(Fraction(1, 2)), QQ(Fraction(1, 3))
@@ -143,10 +149,11 @@ def test_matrices_subtract_without_negating_the_operand(monkeypatch):
     h = hyperbolic(1, ZZ)
     e1, e2 = monomial(h, 1), monomial(h, 2)
     x, y = AlgMatrix(CliffordCoeffs(h), [[e1]]), AlgMatrix(CliffordCoeffs(h), [[e2]])
-    for cls in (ScalarMatrix, AlgMatrix):
+    for cls in (ScalarMatrix, AlgMatrix, CliffordElement):
         monkeypatch.setattr(cls, "__neg__", lambda self: pytest.fail("negated an operand"))
     assert a - b == ScalarMatrix.from_rows([[QQ(Fraction(1, 6)), QQ(2)], [QQ(-2), QQ(0)]])
     assert b - b == ScalarMatrix.zero(2, 2, QQ)
+    assert e1 - e2 == CliffordElement(h, {1: ZZ(1), 2: ZZ(-1)})
     assert x - y == AlgMatrix(CliffordCoeffs(h), [[e1 - e2]])
 
 
