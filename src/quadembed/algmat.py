@@ -6,7 +6,7 @@ A coefficient algebra is either a `Ring` (entries are scalars, matrices are
 `ScalarMatrix`) or a `CliffordCoeffs` (entries are Clifford elements,
 matrices are `AlgMatrix`).  An `AlgMatrix` is a term map, keyed (i, j, mask)
 for the coefficient of e_mask in entry (i, j), so `clifford._TermMap` gives
-it +, -, scale, == and hash; its product runs `_horner` on raw entries.
+it +, -, scale, == and hash; its product runs `clifford._mul` on raw entries.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from .clifford import CliffordElement, _horner, _TermMap, cl_zero, pbw_basis
+from .clifford import CliffordElement, _mul, _TermMap, cl_zero, pbw_basis
 from .qspace import QuadraticSpace
 from .scalars import (
     Ring,
@@ -69,7 +69,7 @@ class AlgMatrix(_TermMap):
         return out
 
     def _new(self, terms: dict) -> "AlgMatrix":
-        return self._of(self.algebra, self.dim, {k: c for k, c in terms.items() if not c.is_zero})
+        return self._of(self.algebra, self.dim, terms)
 
     @classmethod
     def identity(cls, algebra, dim: int) -> "AlgMatrix":
@@ -117,7 +117,7 @@ class AlgMatrix(_TermMap):
         for i, row in a.items():
             for k, aik in row.items():
                 for j, bkj in b.get(k, {}).items():
-                    for m, v in _horner(space, aik, bkj).items():
+                    for m, v in _mul(space, aik, bkj).items():
                         acc[i, j, m] = acc.get((i, j, m), 0) + v
         return acc
 

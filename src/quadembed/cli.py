@@ -17,8 +17,8 @@ from . import FAMILIES, RANK_LIMIT, SUITES
 
 
 def _read(what: str, text: str, form: str, parse, *args):
-    """parse(*args) for one conversion (`int`, `parse_scalar` or a JSON
-    reader), with Python's own ValueError (int's or json's, say), or a
+    """parse(*args) for one conversion (`scalars._int`, `parse_scalar` or a
+    JSON reader), with Python's own ValueError (int's or json's, say), or a
     package error raised from one (malformed text), replaced by one naming
     the argument `text` and its form; other package errors pass."""
     try:
@@ -29,6 +29,17 @@ def _read(what: str, text: str, form: str, parse, *args):
         raise
 
 
+def _read_int(what: str, text: str, form: str = "an integer", digits: str | None = None) -> int:
+    """The integer `digits` (all of `text` by default) in ASCII digits after
+    an optional "-", as str() writes one (`scalars._int`), or the refusal
+    of `_read`.  argparse keeps integer flags as text, so that they are read
+    here by the same rule."""
+    from .scalars import _int
+
+    digits = text if digits is None else digits
+    return _read(what, text, form, _int, digits, digits, form)
+
+
 def _parse_ring(text: str | None):
     from .scalars import QQ, ZZ, Zmod
 
@@ -37,7 +48,7 @@ def _parse_ring(text: str | None):
     if text == "q":
         return QQ
     if text.startswith("zmod:"):
-        return Zmod(_read("ring", text, "z, q or zmod:m", int, text[5:]))
+        return Zmod(_read_int("ring", text, "z, q or zmod:m", text[5:]))
     raise ValueError(f"unknown ring {text!r}; use z, q or zmod:m")
 
 
@@ -66,7 +77,7 @@ def _parse_space(text: str, ring):
         _check_rank(space.rank)
         return space
     if text.startswith("hyp:"):
-        n = _read("space", text, form, int, text[4:])
+        n = _read_int("space", text, form, text[4:])
         _check_rank(2 * n)
         return hyperbolic(n, ring)
     if text.startswith("diag:"):
@@ -90,7 +101,7 @@ def _parse_element(text: str, space):
         pairs = [chunk.partition(":")[::2] for chunk in text.split(",")]
     terms = {}
     for mask, coeff in pairs:
-        mask = _read("element", text, form, int, mask)
+        mask = _read_int("element", text, form, str(mask))
         terms[mask] = _read("element", text, form, parse_scalar, coeff, space.ring)
     return CliffordElement(space, terms)
 
@@ -127,19 +138,19 @@ def _cmd_clifford_mul(args) -> int:
 def _cmd_derive_j(args) -> int:
     from .suslin import derive_j
 
-    _emit(derive_j(args.n).to_json())
+    _emit(derive_j(_read_int("--n", args.n)).to_json())
     return 0
 
 
 def _cmd_iso(args) -> int:
     from .suslin import hyperbolic_clifford_iso
 
-    ring = _parse_ring(args.ring)
-    phi = hyperbolic_clifford_iso(args.n, ring)
-    monomials = 1 << (2 * args.n)
+    n, ring = _read_int("--n", args.n), _parse_ring(args.ring)
+    phi = hyperbolic_clifford_iso(n, ring)
+    monomials = 1 << (2 * n)
     _emit(
         {
-            "n": args.n,
+            "n": n,
             "ring": ring.name,
             "monomials": monomials,
             "rank": phi.monomial_rank,
@@ -153,13 +164,13 @@ def _cmd_catalog(args) -> int:
     from .algmat import matrix_json
     from .suslin import catalog_generators, catalog_space
 
-    ring = _parse_ring(args.ring)
-    gens = catalog_generators(args.family, args.n, ring)
-    space = catalog_space(args.family, args.n, ring)
+    n, ring = _read_int("--n", args.n), _parse_ring(args.ring)
+    gens = catalog_generators(args.family, n, ring)
+    space = catalog_space(args.family, n, ring)
     _emit(
         {
             "family": args.family,
-            "n": args.n,
+            "n": n,
             "space": space.to_json(),
             "generators": [matrix_json(g) for g in gens],
         }
@@ -168,14 +179,15 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 1 <= args.samples <= 10_000:
+    seed, samples = _read_int("--seed", args.seed), _read_int("--samples", args.samples)
+    if not 1 <= samples <= 10_000:
         raise ValueError("--samples must be from 1 to 10,000")
     ring = _parse_ring(args.ring)
     from .suites import run_suites
 
     # opened first, so a path that cannot be written fails before any suite runs
     with open(args.emit, "w", encoding="utf-8") if args.emit else io.StringIO() as emit:
-        report = run_suites(args.suite, args.seed, args.samples, ring)
+        report = run_suites(args.suite, seed, samples, ring)
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         sys.stdout.write(text)
         emit.write(text)
@@ -207,25 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(fn=_cmd_clifford_mul)
 
     p = sub.add_parser("derive-j", help="derive the signed-permutation conjugator")
-    p.add_argument("--n", type=int, required=True, help="1 to 8")
+    p.add_argument("--n", required=True, help="1 to 8")
     p.set_defaults(fn=_cmd_derive_j)
 
     text = "certify the hyperbolic matrix realisation Cl(H^n) = M(2^n) over z, q or zmod:m"
     p = sub.add_parser("iso", help=text, description=text)
-    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4, 5), help="n = 5 ranks 1,024 images, about 0.5 s")
+    p.add_argument("--n", required=True, metavar="{2,3,4,5}", help="n = 5 ranks 1,024 images, about 0.5 s")
     p.add_argument("--ring", default="q", help="z, q (default), or zmod:m")
     p.set_defaults(fn=_cmd_iso)
 
     p = sub.add_parser("catalog", help="emit a generator family")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", type=int, required=True, choices=(1, 2))
+    p.add_argument("--n", required=True, metavar="{1,2}")
     p.add_argument("--ring", default=None)
     p.set_defaults(fn=_cmd_catalog)
 
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument("--suite", required=True, choices=SUITES + ("all",))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100, help="1 to 10,000")
+    p.add_argument("--seed", default="0")
+    p.add_argument("--samples", default="100", help="1 to 10,000")
     p.add_argument("--ring", default=None)
     p.add_argument("--emit", default=None, help="also write the report to a file")
     p.set_defaults(fn=_cmd_verify)

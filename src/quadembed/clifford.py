@@ -4,7 +4,8 @@ Elements are finitely supported maps from basis masks to scalars.  A mask is
 a bit pattern over the generator indices; mask 0 is the unit and the grade
 of a monomial is its popcount.  Every product runs one Horner-rule kernel
 (`_horner`) over one closed form, a generator times an ordered monomial,
-valid for non-orthogonal forms.
+valid for non-orthogonal forms; `_mul` runs it on the words of the factor
+with fewer terms, those of the right one in the mirror space (`_mirror`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from operator import add, sub
 
 from . import RANK_LIMIT
 from .qspace import QuadraticSpace, orthogonal_sum
-from .scalars import ZZ, RingError, Scalar, ShapeError, _Value, is_unimodular, rank_in_ring, raw_row
+from .scalars import QQ, ZZ, RingError, Scalar, ScalarMatrix, ShapeError, _Value
+from .scalars import is_unimodular, rank_in_ring, raw_row
 
 
 class CliffordRelationError(ValueError):
@@ -37,7 +39,7 @@ class _TermMap(_Value):
     maps; `AlgMatrix` has its own constructor, which checks every entry,
     and its own `_check`, which compares dimensions too.  The constructor
     checks every key and coefficient; `_new` builds the results of `+`,
-    `-`, `scale` and `*` from checked terms unchecked."""
+    `-`, `scale` and `*` from checked, non-zero terms unchecked."""
 
     __slots__ = ()
 
@@ -52,7 +54,7 @@ class _TermMap(_Value):
 
     def _new(self, terms: dict):
         out = object.__new__(type(self))
-        out._owner, out.terms = self._owner, {k: c for k, c in terms.items() if not c.is_zero}
+        out._owner, out.terms = self._owner, terms
         return out
 
     def _check(self, other):
@@ -67,7 +69,7 @@ class _TermMap(_Value):
         for k, c in other.terms.items():
             cur = acc.get(k)
             acc[k] = (c if op is add else -c) if cur is None else op(cur, c)
-        return self._new(acc)
+        return self._new({k: c for k, c in acc.items() if not c.is_zero})
 
     def __sub__(self, other):
         return self.__add__(other, sub)
@@ -76,7 +78,7 @@ class _TermMap(_Value):
         return self._new({k: -c for k, c in self.terms.items()})
 
     def scale(self, s: Scalar):
-        return self._new({k: s * c for k, c in self.terms.items()})
+        return self._new({k: p for k, c in self.terms.items() if not (p := s * c).is_zero})
 
     def _raw(self) -> tuple[dict, int]:
         """The terms as raw values over one denominator: integers over Q."""
@@ -84,9 +86,17 @@ class _TermMap(_Value):
         return dict(zip(self.terms, vals)), den
 
     def _box(self, raw: dict, den: int = 1):
-        """The element of raw values over `den`, each boxed once."""
+        """The element of raw values over `den`, each non-zero one boxed once
+        in its ring's canonical value: an int over Z, a Fraction over Q, a
+        residue in [0, m) over Z/m."""
         ring = self._owner.ring
-        boxed = {k: ring(v if den == 1 else Fraction(v, den)) for k, v in raw.items() if v}
+        if ring is QQ:
+            boxed = {k: Scalar(Fraction(v, den), ring) for k, v in raw.items() if v}
+        elif ring is ZZ:
+            boxed = {k: Scalar(v, ring) for k, v in raw.items() if v}
+        else:
+            m = ring.modulus
+            boxed = {k: Scalar(r, ring) for k, v in raw.items() if (r := v % m)}
         return self._new(boxed)
 
     def __mul__(self, other):
@@ -121,7 +131,7 @@ class CliffordElement(_TermMap):
             raise ShapeError(f"mask {mask} is outside 0..{(1 << space.rank) - 1}")
 
     def _product(self, x: dict, y: dict) -> dict:
-        return _horner(self.space, x, y)
+        return _mul(self.space, x, y)
 
     def coefficients(self) -> list[Scalar]:
         """Dense coordinate vector over the monomial basis, mask order."""
@@ -160,7 +170,7 @@ def _gen_action(space: QuadraticSpace, i: int, mask: int):
     No 1/2 enters, so it is exact over Z and Z/m.  Integral values are ints,
     also over Q, so the fold runs on ints for integral forms.
     """
-    (q, den), n = raw_row(space.qmatrix, space.ring), space.rank
+    q, den, n = space.qmatrix.values, space.qmatrix.den, space.rank
     out = []
     sign, rest = 1, mask
     while rest and rest & -rest <= 1 << i:
@@ -188,8 +198,8 @@ def _horner(space: QuadraticSpace, x: dict, y: dict, reverse: bool = False) -> d
     generator any mask holds (the highest with `reverse`): x = x0 + e_g x1
     with g in no mask of x0, so x y = x0 y + e_g (x1 y), and e_g acts once on
     the merged x1 y rather than once per term that begins with it.  The
-    space keeps each generator action it uses under (i, mask), at most
-    rank * 2^rank of them."""
+    space keeps each generator action it uses in `products[g][mask]`, at
+    most rank * 2^rank of them."""
     held = 0
     for m in x:
         held |= m
@@ -204,16 +214,48 @@ def _horner(space: QuadraticSpace, x: dict, y: dict, reverse: bool = False) -> d
         else:
             x0[m] = v
     acc = _horner(space, x0, y, reverse) if x0 else {}
-    table = space.products
+    table = space.products.get(g)
+    if table is None:
+        table = space.products[g] = {}
     for m, v in _horner(space, x1, y, reverse).items():
         if not v:
             continue
-        action = table.get((g, m))
+        action = table.get(m)
         if action is None:
-            action = table[g, m] = _gen_action(space, g, m)
+            action = table[m] = _gen_action(space, g, m)
         for m2, c in action:
             acc[m2] = acc.get(m2, 0) + v * c
     return acc
+
+
+def _mirror(space: QuadraticSpace) -> tuple:
+    """The mirror of `space`, its generators in reverse order, with form
+    Q'[i][j] = Q[n-1-j][n-1-i], and the list taking each mask to its bit
+    reversal; built on first use and kept on the space."""
+    if space.mirror is None:
+        n, q = space.rank, space.qmatrix
+        values = [q.values[(n - 1 - j) * n + n - 1 - i] for i in range(n) for j in range(n)]
+        rev = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 1)
+        space.mirror = QuadraticSpace(ScalarMatrix(n, n, values, q.ring, q.den)), rev
+    return space.mirror
+
+
+def _mul(space: QuadraticSpace, x: dict, y: dict) -> dict:
+    """x y on raw terms {mask: value}, every Clifford product's kernel.
+
+    `_horner` peels the words of its left factor, so the cost follows the
+    left factor's size.  When x has more terms than y the product runs in
+    the mirror space as rev(rev(y) rev(x)): e_i -> e_(n-1-i) is an
+    anti-isomorphism of Cl(V, Q) onto Cl(V, Q'), since Q' keeps every
+    e_i^2 and e_i e_j + e_j e_i, and it takes ordered monomials to ordered
+    monomials with no sign (Chevalley 1954)."""
+    if len(x) <= len(y):
+        return _horner(space, x, y)
+    mirror, rev = _mirror(space)
+    out = _horner(mirror, {rev[m]: v for m, v in y.items()}, {rev[m]: v for m, v in x.items()})
+    return {rev[m]: v for m, v in out.items()}
 
 
 def cl_zero(space: QuadraticSpace) -> CliffordElement:

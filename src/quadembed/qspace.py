@@ -24,12 +24,15 @@ class QuadraticSpace:
     the symmetric bilinear matrix keeps the form faithful over rings where
     2 is not invertible.
 
-    The form never changes, so the space hashes it once and owns `products`,
-    the Clifford generator actions e_i e_mask that `clifford` keeps under
-    (i, mask): at most rank * 2^rank entries.
+    The form never changes, so the space hashes it once and owns what the
+    Clifford kernel keeps for it: `products`, the generator actions e_g e_mask
+    as {g: {mask: action}}, at most rank * 2^rank entries, and `mirror`, None
+    until a product first runs in the space with the generators' order
+    reversed (`clifford._mirror`), then that space and the bit reversal of
+    masks.  The mirror holds no reference back.
     """
 
-    __slots__ = ("rank", "qmatrix", "_hash", "products")
+    __slots__ = ("rank", "qmatrix", "_hash", "products", "mirror")
 
     def __init__(self, qmatrix: ScalarMatrix):
         if qmatrix.rows != qmatrix.cols:
@@ -43,6 +46,7 @@ class QuadraticSpace:
         self.qmatrix = qmatrix
         self._hash = hash(qmatrix)
         self.products = {}
+        self.mirror = None
 
     @property
     def ring(self) -> Ring:

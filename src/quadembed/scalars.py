@@ -413,13 +413,21 @@ class ScalarMatrix:
     def entries(self) -> tuple[Scalar, ...]:
         return tuple(self._boxed(self.values))
 
+    def _index(self, what: str, k: int, size: int) -> None:
+        if not 0 <= k < size:
+            raise IndexError(f"{what} {k} is outside a {self.rows}x{self.cols} matrix")
+
     def entry(self, i: int, j: int) -> Scalar:
+        self._index("row", i, self.rows)
+        self._index("column", j, self.cols)
         return self._boxed((self.values[i * self.cols + j],))[0]
 
     def row(self, i: int) -> list[Scalar]:
+        self._index("row", i, self.rows)
         return self._boxed(self.values[i * self.cols : (i + 1) * self.cols])
 
     def col(self, j: int) -> list[Scalar]:
+        self._index("column", j, self.cols)
         return self._boxed(self.values[j :: self.cols])
 
     @property

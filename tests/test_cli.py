@@ -131,6 +131,9 @@ def test_bad_input_exits_2_with_one_line(capsys):
         ("clifford", "mul", "--space", "diag:1", "--ring", "zmod:5", "--a", "0:1 mod 3", "--b", "0:1"),
         # more coordinates than the Suslin size bound allows
         ("suslin", "--v", ",".join("1" * 9), "--w", ",".join("0" * 9)),
+        # an n outside the command's range
+        ("iso", "--n", "7"),
+        ("catalog", "--family", "odd2n1", "--n", "3"),
         # a report file that cannot be opened: refused before any suite runs
         ("verify", "--suite", "catalog", "--samples", "1", "--emit", MISSING_DIR + "/report.json"),
         ("verify", "--suite", "catalog", "--samples", "1", "--emit", str(PACKAGE_ROOT)),
@@ -199,6 +202,16 @@ def test_malformed_text_names_itself_and_its_form(capsys):
         ((*mul, "--space", '{"ring": "Q", "q": [["1/2/3"]]}', "--a", "1:1"), '{"ring": "Q", "q": [["1/2/3"]]}', "JSON"),
         ((*mul, "--space", "{ring: Z}", "--a", "1:1"), "{ring: Z}", "JSON"),
         ((*mul, "--space", "hyp:1", "--a", "{terms"), "{terms", "mask:coeff"),
+        # integers are read as str() writes them: no "_", no "+" and no
+        # digits but ASCII ones, where int() takes all three
+        (("catalog", "--family", "odd2n1", "--n", "1", "--ring", "zmod:1_2"), "zmod:1_2", "zmod:m"),
+        ((*mul, "--space", "hyp:1_0", "--a", "1:1"), "hyp:1_0", "hyp:N"),
+        ((*mul, "--space", "hyp:1", "--a", "1_0:1"), "1_0:1", "mask:coeff"),
+        (("derive-j", "--n", "\uff13"), "\uff13", "integer"),
+        (("iso", "--n", "+2"), "+2", "integer"),
+        (("catalog", "--family", "odd2n1", "--n", " 1"), " 1", "integer"),
+        (("verify", "--suite", "catalog", "--samples", "1_0"), "1_0", "integer"),
+        (("verify", "--suite", "catalog", "--samples", "1", "--seed", "\u0663"), "\u0663", "integer"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv

@@ -136,10 +136,14 @@ def rand_q_space(rng, rank):
 def test_dense_products_and_reversals_match_word_oracle():
     # multi-term elements whose words share their low (and high) generators,
     # so the product folds shared prefixes; also the empty element, a mask-0
-    # term, and over Z/6 factors whose every product is 0 mod 6
+    # term, and over Z/6 factors whose every product is 0 mod 6.  A left
+    # factor with more terms than the right one (12 terms times 1 to 3, a
+    # vector times a shorter element, a matrix with denser left entries)
+    # runs in the mirror space
     rng = random.Random(5)
     spaces = [rand_space(rng, ring, rank) for rank in (4, 5) for ring in (ZZ, Zmod(6))]
     spaces += [rand_q_space(rng, 4), rand_q_space(rng, 5)]
+    spaces += [rand_space(rng, ZZ, 1), rand_space(rng, Zmod(6), 1), rand_q_space(rng, 1)]
     for space in spaces:
         ring, n = space.ring, space.rank
         low = [m for m in range(1 << n) if m & 1] + [m for m in range(1 << n) if m >> n - 1]
@@ -154,12 +158,27 @@ def test_dense_products_and_reversals_match_word_oracle():
         elements.append(dense(8, (-2, 1, 3)) + cl_one(space).scale(ring(2)))
         elements.append(CliffordElement(space, {}))
         pairs = [(x, y) for x in elements for y in elements[:3]]
+        short = [dense(k, (-3, -1, 2), range(1 << n)) for k in (1, 2, 3)]
+        vector = CliffordElement(space, {1 << i: ring(rng.choice((-2, -1, 1, 3))) for i in range(n)})
+        pairs += [(x, y) for x in elements[:3] + [vector] for y in short]
         if ring == Zmod(6):
             x, y = dense(10, (2, 4)), dense(10, (3,))
             assert (x * y).is_zero and (y * x).is_zero
-            pairs += [(x, y), (y, x)]
+            pairs += [(x, y), (y, x), (dense(12, (2, 4)), dense(2, (3,)))]
         for x, y in pairs:
             assert (x * y).terms == oracle_product(space, x.terms, y.terms), space
+        assert space.mirror is not None
+        alg = CliffordCoeffs(space)
+        left = [[dense(12, (-3, 1, 2)), dense(6, (1, -2))], [vector, CliffordElement(space, {})]]
+        right = [[short[0], short[2]], [short[1], cl_one(space)]]
+        product = AlgMatrix(alg, left) * AlgMatrix(alg, right)
+        for i in range(2):
+            for j in range(2):
+                want = {}
+                for k in range(2):
+                    for m, c in oracle_product(space, left[i][k].terms, right[k][j].terms).items():
+                        want[m] = want.get(m, ring.zero) + c
+                assert product.entry(i, j).terms == {m: c for m, c in want.items() if not c.is_zero}
         for x in elements:
             want = {}
             for m, c in x.terms.items():
@@ -517,25 +536,35 @@ def test_element_json_round_trip():
 
 
 def test_products_leave_no_reference_to_the_space():
-    # the product table lives on the space, so multiplying and reversing
-    # keep nothing elsewhere that would hold the space alive
+    # the product table and the mirror live on the space, and the mirror
+    # holds no reference back, so multiplying and reversing keep nothing
+    # elsewhere that would hold the space alive
     for space in (diagonal_space([1, -2, 3], ZZ), hyperbolic(2, ZZ)):
         a = CliffordElement(space, {m: ZZ(m + 1) for m in range(1 << space.rank)})
+        b = CliffordElement(space, {1: ZZ(2), 6: ZZ(-1)})
         before = sys.getrefcount(space)
         a * a
         standard_involution(a)
+        a * b
         assert sys.getrefcount(space) == before
-        assert space.products
+        assert space.products and space.mirror[0].products
 
 
 def test_product_table_stays_bounded():
     # the space keeps generator actions, one per (generator, mask), never
-    # products of monomial pairs: a full square in rank 8 would fill 4^8
+    # products of monomial pairs: a full square in rank 8 would fill 4^8.
+    # A product whose left factor has more terms fills the mirror's table,
+    # which keeps the same bound
     rows = [[ZZ((i + 2 * j) % 5 - 2) if j >= i else ZZ(0) for j in range(8)] for i in range(8)]
     space = QuadraticSpace(ScalarMatrix.from_rows(rows))
     a = CliffordElement(space, {m: ZZ(m % 7 - 3) for m in range(1 << 8)})
+    b = CliffordElement(space, {m: ZZ(m % 5 - 2) for m in range(0, 1 << 8, 37)})
     a * a
-    assert len(space.products) <= 8 * 2**8
+    assert space.mirror is None
+    a * b
+    for s in (space, space.mirror[0]):
+        assert set(s.products) <= set(range(8))
+        assert 0 < sum(map(len, s.products.values())) <= 8 * 2**8
 
 
 def test_equal_spaces_built_apart_hash_and_multiply_alike():

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from quadembed.clifford import (
     CliffordElement,
     GradedTensorAlgebra,
+    _horner,
+    _mirror,
     cl_one,
     embed_vector,
     grade_involution,
@@ -103,6 +105,31 @@ def test_grade_involution_is_an_automorphism(triple):
     a, b, _ = triple
     assert grade_involution(a * b) == grade_involution(a) * grade_involution(b)
     assert grade_involution(grade_involution(a)) == a
+
+
+@st.composite
+def element_pairs(draw):
+    space = draw(spaces(max_rank=5))
+    return draw(elements(space, max_terms=6)), draw(elements(space, max_terms=6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(element_pairs())
+def test_generator_reversal_is_an_anti_isomorphism_onto_the_mirror(pair):
+    """e_i -> e_(n-1-i) maps Cl(V, Q) onto Cl(V, Q') with Q'[i][j] =
+    Q[n-1-j][n-1-i] and reverses products, so each kernel run gives
+    x y = rev(rev(y) rev(x)), and the product agrees with both."""
+    x, y = pair
+    space, n = x.space, x.space.rank
+    mirror, rev = _mirror(space)
+    assert all(mirror.qmatrix.entry(i, j) == space.qmatrix.entry(n - 1 - j, n - 1 - i)
+               for i in range(n) for j in range(n))
+    assert sorted(rev) == list(range(1 << n))
+    assert all(rev[m] == sum(1 << n - 1 - i for i in range(n) if m >> i & 1) for m in range(1 << n))
+    (xr, dx), (yr, dy) = x._raw(), y._raw()
+    direct = x._box(_horner(space, xr, yr), dx * dy)
+    back = _horner(mirror, {rev[m]: v for m, v in yr.items()}, {rev[m]: v for m, v in xr.items()})
+    assert x._box({rev[m]: v for m, v in back.items()}, dx * dy) == direct == x * y
 
 
 @st.composite

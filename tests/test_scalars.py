@@ -795,6 +795,21 @@ def test_shape_errors():
         ScalarMatrix.of_ints(ZZ, [[1, 2], [3]])
 
 
+def test_matrix_accessors_refuse_an_index_outside_the_matrix():
+    # entry(0, 2) of a 2x2 matrix read the entry at (1, 0), and entry(0, -1)
+    # the last one; an out-of-range row or column came back short or empty
+    m = ScalarMatrix.of_ints(ZZ, [[1, 2], [3, 4]])
+    for call in (lambda: m.entry(0, 2), lambda: m.entry(0, -1), lambda: m.entry(2, 0),
+                 lambda: m.entry(-1, 0), lambda: m.row(2), lambda: m.row(-1),
+                 lambda: m.col(2), lambda: m.col(-1)):
+        with pytest.raises(IndexError, match="outside a 2x2 matrix"):
+            call()
+    wide = ScalarMatrix.of_ints(QQ, [[1, 2, 3]])
+    assert (wide.entry(0, 2), wide.row(0), wide.col(1)) == (QQ(3), ints(QQ, [1, 2, 3]), [QQ(2)])
+    with pytest.raises(IndexError, match="column 3 is outside a 1x3 matrix"):
+        wide.col(3)
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_integer_ring_laws(a, b, c):
     x, y, z = ZZ(a), ZZ(b), ZZ(c)
